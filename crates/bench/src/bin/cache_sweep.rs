@@ -15,8 +15,7 @@
 //! from a hot loop. A single buffer thrashes (every call re-decompresses);
 //! two slots absorb the alternation entirely.
 
-use squash::pipeline;
-use squash::telemetry::{Recorder, SharedRecorder};
+use squash::pipeline::{self, RunConfig};
 use squash::SquashOptions;
 
 const SLOTS: [usize; 4] = [1, 2, 4, 8];
@@ -58,11 +57,10 @@ fn sweep(
             .expect("squasher setup")
             .finish()
             .expect("squash failed");
-        let recorder = SharedRecorder::new(Recorder::attribution_only());
-        let result =
-            pipeline::run_squashed_traced(&squashed, input, None, Some(recorder.sink()))
-                .expect("squashed run");
-        let attribution = recorder.take().attribution.finish(result.cycles);
+        let config = RunConfig { observers: Some(Default::default()), ..Default::default() };
+        let run = pipeline::run_squashed_with(&squashed, input, config).expect("squashed run");
+        let attribution = run.telemetry(name).attribution.expect("observers attached");
+        let result = run.result;
         assert_eq!(
             attribution.attributed_cycles, result.runtime.cycles_charged,
             "{name} N={slots}: attribution must cover every charged cycle"

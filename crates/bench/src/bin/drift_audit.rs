@@ -15,8 +15,8 @@
 //! `BENCH_SMOKE=1` restricts to a three-workload subset for CI.
 
 use squash::audit::{self, DEFAULT_DRIFT_THRESHOLD};
-use squash::telemetry::{Recorder, SharedRecorder};
-use squash::{pipeline, retune};
+use squash::pipeline::{self, RunConfig};
+use squash::retune;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -34,16 +34,10 @@ fn main() -> ExitCode {
     for b in &benches {
         // Static image, measured with attribution: the retuner's input.
         let squashed = b.squash(&options);
-        let recorder = SharedRecorder::new(Recorder::attribution_only());
-        let run = pipeline::run_squashed_traced(
-            &squashed,
-            &b.timing_input,
-            None,
-            Some(recorder.sink()),
-        )
-        .expect("static run");
-        let mut telemetry = run.telemetry(&b.name);
-        telemetry.attribution = Some(recorder.take().attribution.finish(run.cycles));
+        let config = RunConfig { observers: Some(Default::default()), ..Default::default() };
+        let telemetry = pipeline::run_squashed_with(&squashed, &b.timing_input, config)
+            .expect("static run")
+            .telemetry(&b.name);
 
         // Close the loop and re-measure the winner on the same input.
         let retuned = retune::retune(&b.program, &b.profile, &options, &telemetry)

@@ -23,8 +23,9 @@ fn main() {
             plain.push(run_plain.cycles as f64 / base_plain.cycles as f64);
             let base_c =
                 pipeline::run_original_with(&b.program, &b.timing_input, cache).unwrap();
+            let config = pipeline::RunConfig { icache: cache, ..Default::default() };
             let run_c =
-                pipeline::run_squashed_with(&squashed, &b.timing_input, cache).unwrap();
+                pipeline::run_squashed_with(&squashed, &b.timing_input, config).unwrap().result;
             assert_eq!(base_c.output, run_c.output);
             cached.push(run_c.cycles as f64 / base_c.cycles as f64);
         }

@@ -39,10 +39,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use squash_isa::Inst;
 
-/// One decoded region: what the stream model produced, plus whether the
-/// fast decoder needed the reference fallback (each acquiring instance
-/// replays that into its *own* `RuntimeStats`, keeping per-tenant
-/// attribution exact even when the decode itself was shared).
+/// One decoded region: what the stream model produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decoded {
     /// The decoded instructions, pre-relocation (relocation is per-slot and
@@ -51,8 +48,6 @@ pub struct Decoded {
     /// Bits the decoder consumed — the cycle charge is derived from this,
     /// identically for cached and fresh decodes.
     pub bits: u64,
-    /// Whether the reference decoder had to stand in for the fast one.
-    pub ref_fallback: bool,
 }
 
 /// Cache key: the store-assigned image id and the region index.
@@ -163,8 +158,8 @@ impl SharedRegionCache {
     }
 
     /// A per-instance handle binding this cache to one `(image, tenant)`
-    /// pair — what [`crate::runtime::SquashRuntime::set_decode_cache`]
-    /// takes. `quota` caps how many entries the tenant may keep resident.
+    /// pair — what [`crate::pipeline::RunConfig::decode_cache`] takes.
+    /// `quota` caps how many entries the tenant may keep resident.
     pub fn handle(
         self: &Arc<SharedRegionCache>,
         image: u64,
@@ -378,7 +373,6 @@ mod tests {
         Decoded {
             insts: vec![Inst::Imm { func: AluOp::Add, ra: Reg::T0, lit: tag as u8, rc: Reg::T0 }],
             bits: tag as u64 * 7 + 3,
-            ref_fallback: false,
         }
     }
 

@@ -783,7 +783,13 @@ fn worker_loop(inner: &Arc<Inner>) {
 fn run_job(inner: &Arc<Inner>, job: &Job) -> Result<RunResult, FleetError> {
     let img = inner.store.get(&job.image)?;
     let handle = inner.cache.handle(img.id, job.tenant_id, job.cache_quota);
-    pipeline::run_squashed_budgeted(&img.squashed, &job.input, job.deadline, Some(handle))
+    let config = pipeline::RunConfig {
+        deadline: job.deadline,
+        decode_cache: Some(handle),
+        ..pipeline::RunConfig::default()
+    };
+    pipeline::run_squashed_with(&img.squashed, &job.input, config)
+        .map(|run| run.result)
         .map_err(fleet_error_from_squash)
 }
 

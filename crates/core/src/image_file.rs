@@ -61,15 +61,9 @@
 //!
 //! Every load failure is a typed [`MachineCheck`] (bad magic, truncation,
 //! forged lengths, checksum mismatches, corrupt code tables) carried inside
-//! the returned [`SquashError`], never a panic.
-//!
-//! # `SQSH0002` — the legacy format
-//!
-//! Version 2 (the previous flat layout: magic, meta fields, model, blob,
-//! offsets, footprint, with a 5-field cost model and no checksums) is still
-//! read for compatibility; loaders report it as `integrity: none`.
-//! [`write_v2`] still emits it for comparison runs. Version-1 files are
-//! rejected by magic.
+//! the returned [`SquashError`], never a panic. `SQSH0003` is the only
+//! format: any other magic, including the retired checksum-free `SQSH0002`,
+//! is a [`FaultKind::BadMagic`] fault.
 
 use squash_compress::StreamModel;
 
@@ -80,7 +74,6 @@ use crate::runtime::RuntimeConfig;
 use crate::{CostModel, FaultKind, MachineCheck, SquashError};
 
 const MAGIC_V3: &[u8; 8] = b"SQSH0003";
-const MAGIC_V2: &[u8; 8] = b"SQSH0002";
 
 /// Section order in a `SQSH0003` directory. The first [`BASE_SECTIONS`] are
 /// always present; `provenance` is optional and, when present, last.
@@ -107,13 +100,9 @@ fn fault(kind: FaultKind, detail: impl Into<String>) -> SquashError {
 }
 
 /// The format version of a `.sqsh` byte stream, sniffed from the magic:
-/// `Some(3)`, `Some(2)`, or `None` for anything unrecognized.
+/// `Some(3)`, or `None` for anything unrecognized.
 pub fn version(bytes: &[u8]) -> Option<u32> {
-    match bytes.get(0..8) {
-        Some(m) if m == MAGIC_V3 => Some(3),
-        Some(m) if m == MAGIC_V2 => Some(2),
-        _ => None,
-    }
+    bytes.starts_with(MAGIC_V3).then_some(3)
 }
 
 /// Layout version of the serialized `provenance` section.
@@ -345,7 +334,21 @@ fn write_meta(squashed: &Squashed) -> Vec<u8> {
         out.extend_from_slice(&v.to_le_bytes());
     }
     out.push(rt.skip_if_current as u8);
-    write_footprint(&mut out, squashed);
+    let fp = &squashed.stats.footprint;
+    for v in [
+        fp.never_compressed,
+        fp.entry_stubs,
+        fp.static_stubs,
+        fp.decompressor,
+        fp.model_tables,
+        fp.offset_table,
+        fp.compressed,
+        fp.stub_area,
+        fp.buffer,
+        squashed.stats.baseline_bytes,
+    ] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
     out
 }
 
@@ -364,74 +367,6 @@ fn write_region_crcs(crcs: &[u32]) -> Vec<u8> {
     for &crc in crcs {
         out.extend_from_slice(&crc.to_le_bytes());
     }
-    out
-}
-
-fn write_footprint(out: &mut Vec<u8>, squashed: &Squashed) {
-    let fp = &squashed.stats.footprint;
-    for v in [
-        fp.never_compressed,
-        fp.entry_stubs,
-        fp.static_stubs,
-        fp.decompressor,
-        fp.model_tables,
-        fp.offset_table,
-        fp.compressed,
-        fp.stub_area,
-        fp.buffer,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.extend_from_slice(&squashed.stats.baseline_bytes.to_le_bytes());
-}
-
-/// Serializes a squashed program to the legacy `SQSH0002` format: no
-/// checksums, 5-field cost model. Kept so integrity-cost comparisons can
-/// run the same image in both formats (`squashc --emit-format 2`).
-pub fn write_v2(squashed: &Squashed) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC_V2);
-    out.extend_from_slice(&squashed.entry.to_le_bytes());
-    out.extend_from_slice(&(squashed.segments.len() as u32).to_le_bytes());
-    for (base, bytes) in &squashed.segments {
-        out.extend_from_slice(&base.to_le_bytes());
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(bytes);
-    }
-    let rt = &squashed.runtime;
-    for v in [
-        rt.decomp_base,
-        rt.decomp_bytes,
-        rt.buffer_base,
-        rt.buffer_bytes,
-        rt.cache_slots as u32,
-        rt.stub_base,
-        rt.stub_slots as u32,
-        rt.offset_table_addr,
-        rt.regions as u32,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    for v in [
-        rt.cost.per_bit,
-        rt.cost.per_inst,
-        rt.cost.per_call,
-        rt.cost.create_stub,
-        rt.cost.cache_hit,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.push(rt.skip_if_current as u8);
-    let model = rt.model.serialize();
-    out.extend_from_slice(&(model.len() as u32).to_le_bytes());
-    out.extend_from_slice(&model);
-    out.extend_from_slice(&(rt.blob.len() as u32).to_le_bytes());
-    out.extend_from_slice(&rt.blob);
-    out.extend_from_slice(&(rt.bit_offsets.len() as u32).to_le_bytes());
-    for &off in &rt.bit_offsets {
-        out.extend_from_slice(&off.to_le_bytes());
-    }
-    write_footprint(&mut out, squashed);
     out
 }
 
@@ -511,14 +446,11 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Deserializes a `.sqsh` byte stream back into a runnable [`Squashed`],
-/// accepting both the current `SQSH0003` format and the legacy `SQSH0002`.
+/// Deserializes a `SQSH0003` byte stream back into a runnable [`Squashed`].
 ///
-/// For v3 images the header checksum and the `meta`, `model`, `offsets` and
-/// `region_crcs` section checksums are verified before any content is
-/// trusted; the compressed blob is verified lazily per region at trap time.
-/// v2 images carry no integrity metadata (`Squashed::runtime.region_crcs`
-/// comes back empty, and the runtime verifies and charges nothing).
+/// The header checksum and the `meta`, `model`, `offsets` and `region_crcs`
+/// section checksums are verified before any content is trusted; the
+/// compressed blob is verified lazily per region at trap time.
 ///
 /// Pipeline statistics other than the footprint are not stored and come
 /// back zeroed.
@@ -529,39 +461,21 @@ impl<'a> Reader<'a> {
 /// populated): bad magic, truncation or forged lengths, checksum
 /// mismatches, corrupt embedded tables.
 pub fn read(bytes: &[u8]) -> Result<Squashed, SquashError> {
-    match version(bytes) {
-        Some(3) => read_v3(bytes, false),
-        Some(2) => read_v2(bytes),
-        _ => Err(fault(
-            FaultKind::BadMagic,
-            "not a .sqsh file (bad magic; expected SQSH0003 or SQSH0002)",
-        )),
-    }
+    read_image(bytes, false)
 }
 
-/// Like [`read`], but fully strict: requires the `SQSH0003` format (v2 has
-/// no integrity metadata and is rejected) and verifies the blob section
-/// checksum eagerly at load instead of lazily per region.
+/// Like [`read`], but verifies the blob section checksum eagerly at load
+/// instead of lazily per region (`squashrun --strict-integrity`).
 ///
 /// # Errors
 ///
-/// As [`read`], plus a [`FaultKind::BadMagic`] fault for v2 images and a
-/// [`FaultKind::SectionChecksum`] fault for a corrupt blob section.
+/// As [`read`], plus a [`FaultKind::SectionChecksum`] fault for a corrupt
+/// blob section.
 pub fn read_strict(bytes: &[u8]) -> Result<Squashed, SquashError> {
-    match version(bytes) {
-        Some(3) => read_v3(bytes, true),
-        Some(2) => Err(fault(
-            FaultKind::BadMagic,
-            "strict integrity requires SQSH0003 (this is a SQSH0002 image with no checksums)",
-        )),
-        _ => Err(fault(
-            FaultKind::BadMagic,
-            "not a .sqsh file (bad magic; expected SQSH0003)",
-        )),
-    }
+    read_image(bytes, true)
 }
 
-/// The v3 section directory: one `(offset, len, stored_crc)` entry per
+/// The section directory: one `(offset, len, stored_crc)` entry per
 /// section, in [`SECTION_NAMES`] order, validated against the file length.
 /// Five or six entries ([`BASE_SECTIONS`], plus `provenance` when present).
 fn read_directory(bytes: &[u8]) -> Result<Vec<(usize, usize, u32)>, SquashError> {
@@ -659,7 +573,13 @@ fn read_directory(bytes: &[u8]) -> Result<Vec<(usize, usize, u32)>, SquashError>
     Ok(dir)
 }
 
-fn read_v3(bytes: &[u8], strict: bool) -> Result<Squashed, SquashError> {
+fn read_image(bytes: &[u8], strict: bool) -> Result<Squashed, SquashError> {
+    if version(bytes).is_none() {
+        return Err(fault(
+            FaultKind::BadMagic,
+            "not a .sqsh file (bad magic; expected SQSH0003)",
+        ));
+    }
     let dir = read_directory(bytes)?;
     let section = |i: usize| &bytes[dir[i].0..dir[i].0 + dir[i].1];
     // Verify section checksums before parsing a byte of them. The blob is
@@ -680,38 +600,84 @@ fn read_v3(bytes: &[u8], strict: bool) -> Result<Squashed, SquashError> {
             ));
         }
     }
-    let meta = parse_meta(section(0))?;
+    let mut r = Reader::new(section(0), "meta section");
+    let entry = r.u32()?;
+    let segments = parse_segments(&mut r)?;
+    let mut fields = [0u32; 9];
+    for f in &mut fields {
+        *f = r.u32()?;
+    }
+    let [
+        decomp_base,
+        decomp_bytes,
+        buffer_base,
+        buffer_bytes,
+        cache_slots,
+        stub_base,
+        stub_slots,
+        offset_table_addr,
+        regions,
+    ] = fields;
+    let (cache_slots, regions) = (cache_slots as usize, regions as usize);
+    if cache_slots == 0 || cache_slots > MAX_CACHE_SLOTS {
+        return Err(fault(
+            FaultKind::Truncated,
+            format!("implausible cache slot count {cache_slots}"),
+        ));
+    }
+    let cost = CostModel {
+        per_bit: r.u64()?,
+        per_inst: r.u64()?,
+        per_call: r.u64()?,
+        create_stub: r.u64()?,
+        cache_hit: r.u64()?,
+        per_check_byte: r.u64()?,
+    };
+    let skip_if_current = r.u8()? != 0;
+    let footprint = Footprint {
+        never_compressed: r.u32()?,
+        entry_stubs: r.u32()?,
+        static_stubs: r.u32()?,
+        decompressor: r.u32()?,
+        model_tables: r.u32()?,
+        offset_table: r.u32()?,
+        compressed: r.u32()?,
+        stub_area: r.u32()?,
+        buffer: r.u32()?,
+    };
+    let baseline_bytes = r.u32()?;
+    r.done()?;
     let model = StreamModel::deserialize(section(1))
         .map_err(|e| fault(FaultKind::CodeTableCorrupt, format!("embedded model corrupt: {e}")))?;
-    let blob = section(2).to_vec();
-    let bit_offsets = parse_offsets(section(3), meta.regions)?;
-    let region_crcs = parse_region_crcs(section(4), meta.regions)?;
+    let bit_offsets = parse_offsets(section(3), regions)?;
+    let region_crcs = parse_region_crcs(section(4), regions)?;
     let provenance = match dir.len() {
         n if n > BASE_SECTIONS => Some(Provenance::parse(section(BASE_SECTIONS))?),
         _ => None,
     };
-    let mut squashed = assemble(meta, model, blob, bit_offsets, region_crcs);
-    squashed.provenance = provenance;
-    Ok(squashed)
-}
-
-/// Everything in the v3 `meta` section (shared with the v2 prefix parser).
-struct Meta {
-    entry: u32,
-    segments: Vec<(u32, Vec<u8>)>,
-    decomp_base: u32,
-    decomp_bytes: u32,
-    buffer_base: u32,
-    buffer_bytes: u32,
-    cache_slots: usize,
-    stub_base: u32,
-    stub_slots: usize,
-    offset_table_addr: u32,
-    regions: usize,
-    cost: CostModel,
-    skip_if_current: bool,
-    footprint: Footprint,
-    baseline_bytes: u32,
+    Ok(Squashed {
+        segments,
+        entry,
+        runtime: RuntimeConfig {
+            decomp_base,
+            decomp_bytes,
+            buffer_base,
+            buffer_bytes,
+            cache_slots,
+            stub_base,
+            stub_slots: stub_slots as usize,
+            offset_table_addr,
+            regions,
+            model,
+            blob: section(2).to_vec(),
+            bit_offsets,
+            region_crcs,
+            cost,
+            skip_if_current,
+        },
+        stats: SquashStats { footprint, baseline_bytes, regions, ..SquashStats::default() },
+        provenance,
+    })
 }
 
 fn parse_segments(r: &mut Reader<'_>) -> Result<Vec<(u32, Vec<u8>)>, SquashError> {
@@ -729,99 +695,6 @@ fn parse_segments(r: &mut Reader<'_>) -> Result<Vec<(u32, Vec<u8>)>, SquashError
         segments.push((base, r.take(len)?.to_vec()));
     }
     Ok(segments)
-}
-
-/// The nine runtime u32 fields shared by both formats, sanity-capped.
-#[allow(clippy::type_complexity)]
-fn parse_runtime_fields(
-    r: &mut Reader<'_>,
-) -> Result<(u32, u32, u32, u32, usize, u32, usize, u32, usize), SquashError> {
-    let decomp_base = r.u32()?;
-    let decomp_bytes = r.u32()?;
-    let buffer_base = r.u32()?;
-    let buffer_bytes = r.u32()?;
-    let cache_slots = r.u32()? as usize;
-    if cache_slots == 0 || cache_slots > MAX_CACHE_SLOTS {
-        return Err(fault(
-            FaultKind::Truncated,
-            format!("implausible cache slot count {cache_slots}"),
-        ));
-    }
-    let stub_base = r.u32()?;
-    let stub_slots = r.u32()? as usize;
-    let offset_table_addr = r.u32()?;
-    let regions = r.u32()? as usize;
-    Ok((
-        decomp_base,
-        decomp_bytes,
-        buffer_base,
-        buffer_bytes,
-        cache_slots,
-        stub_base,
-        stub_slots,
-        offset_table_addr,
-        regions,
-    ))
-}
-
-fn parse_footprint(r: &mut Reader<'_>) -> Result<Footprint, SquashError> {
-    Ok(Footprint {
-        never_compressed: r.u32()?,
-        entry_stubs: r.u32()?,
-        static_stubs: r.u32()?,
-        decompressor: r.u32()?,
-        model_tables: r.u32()?,
-        offset_table: r.u32()?,
-        compressed: r.u32()?,
-        stub_area: r.u32()?,
-        buffer: r.u32()?,
-    })
-}
-
-fn parse_meta(bytes: &[u8]) -> Result<Meta, SquashError> {
-    let mut r = Reader::new(bytes, "meta section");
-    let entry = r.u32()?;
-    let segments = parse_segments(&mut r)?;
-    let (
-        decomp_base,
-        decomp_bytes,
-        buffer_base,
-        buffer_bytes,
-        cache_slots,
-        stub_base,
-        stub_slots,
-        offset_table_addr,
-        regions,
-    ) = parse_runtime_fields(&mut r)?;
-    let cost = CostModel {
-        per_bit: r.u64()?,
-        per_inst: r.u64()?,
-        per_call: r.u64()?,
-        create_stub: r.u64()?,
-        cache_hit: r.u64()?,
-        per_check_byte: r.u64()?,
-    };
-    let skip_if_current = r.u8()? != 0;
-    let footprint = parse_footprint(&mut r)?;
-    let baseline_bytes = r.u32()?;
-    r.done()?;
-    Ok(Meta {
-        entry,
-        segments,
-        decomp_base,
-        decomp_bytes,
-        buffer_base,
-        buffer_bytes,
-        cache_slots,
-        stub_base,
-        stub_slots,
-        offset_table_addr,
-        regions,
-        cost,
-        skip_if_current,
-        footprint,
-        baseline_bytes,
-    })
 }
 
 fn parse_offsets(bytes: &[u8], regions: usize) -> Result<Vec<u64>, SquashError> {
@@ -858,145 +731,28 @@ fn parse_region_crcs(bytes: &[u8], regions: usize) -> Result<Vec<u32>, SquashErr
     Ok(crcs)
 }
 
-fn assemble(
-    meta: Meta,
-    model: StreamModel,
-    blob: Vec<u8>,
-    bit_offsets: Vec<u64>,
-    region_crcs: Vec<u32>,
-) -> Squashed {
-    Squashed {
-        segments: meta.segments,
-        entry: meta.entry,
-        runtime: RuntimeConfig {
-            decomp_base: meta.decomp_base,
-            decomp_bytes: meta.decomp_bytes,
-            buffer_base: meta.buffer_base,
-            buffer_bytes: meta.buffer_bytes,
-            cache_slots: meta.cache_slots,
-            stub_base: meta.stub_base,
-            stub_slots: meta.stub_slots,
-            offset_table_addr: meta.offset_table_addr,
-            regions: meta.regions,
-            model,
-            blob,
-            bit_offsets,
-            region_crcs,
-            cost: meta.cost,
-            skip_if_current: meta.skip_if_current,
-        },
-        stats: SquashStats {
-            footprint: meta.footprint,
-            baseline_bytes: meta.baseline_bytes,
-            regions: meta.regions,
-            ..SquashStats::default()
-        },
-        provenance: None,
-    }
-}
-
-fn read_v2(bytes: &[u8]) -> Result<Squashed, SquashError> {
-    let mut r = Reader::new(bytes, ".sqsh file");
-    r.take(8)?; // magic, already checked
-    let entry = r.u32()?;
-    let segments = parse_segments(&mut r)?;
-    let (
-        decomp_base,
-        decomp_bytes,
-        buffer_base,
-        buffer_bytes,
-        cache_slots,
-        stub_base,
-        stub_slots,
-        offset_table_addr,
-        regions,
-    ) = parse_runtime_fields(&mut r)?;
-    let cost = CostModel {
-        per_bit: r.u64()?,
-        per_inst: r.u64()?,
-        per_call: r.u64()?,
-        create_stub: r.u64()?,
-        cache_hit: r.u64()?,
-        // v2 predates integrity metadata; no region is ever verified, so
-        // this rate is never charged. Carry the default for completeness.
-        per_check_byte: CostModel::default().per_check_byte,
-    };
-    let skip_if_current = r.u8()? != 0;
-    let model_len = r.u32()? as usize;
-    let model = StreamModel::deserialize(r.take(model_len)?)
-        .map_err(|e| fault(FaultKind::CodeTableCorrupt, format!("embedded model corrupt: {e}")))?;
-    let blob_len = r.u32()? as usize;
-    let blob = r.take(blob_len)?.to_vec();
-    let noffsets = r.u32()? as usize;
-    if noffsets != regions {
-        return Err(fault(
-            FaultKind::Truncated,
-            format!("offset table count {noffsets} disagrees with region count {regions}"),
-        ));
-    }
-    let mut bit_offsets = Vec::with_capacity(noffsets.min(r.remaining() / 8));
-    for _ in 0..noffsets {
-        bit_offsets.push(r.u64()?);
-    }
-    let footprint = parse_footprint(&mut r)?;
-    let baseline_bytes = r.u32()?;
-    r.done()?;
-    let meta = Meta {
-        entry,
-        segments,
-        decomp_base,
-        decomp_bytes,
-        buffer_base,
-        buffer_bytes,
-        cache_slots,
-        stub_base,
-        stub_slots,
-        offset_table_addr,
-        regions,
-        cost,
-        skip_if_current,
-        footprint,
-        baseline_bytes,
-    };
-    // No integrity metadata in this format: empty region_crcs disables
-    // trap-time verification (and its cycle charge) entirely.
-    Ok(assemble(meta, model, blob, bit_offsets, Vec::new()))
-}
-
 /// The interesting truncation boundaries of a serialized image: every
-/// header-field edge and every section edge for v3, and the structural
-/// prefix edges for v2. Fault-injection tests cut the file at each of these
+/// header-field edge, every directory entry edge, the header CRC edge and
+/// every section edge. Fault-injection tests cut the file at each of these
 /// (and at ±1) and require a typed fault, never a panic.
 pub fn boundaries(bytes: &[u8]) -> Vec<usize> {
     let mut cuts = vec![0usize, 8, 12, 16];
-    match version(bytes) {
-        Some(3) => {
-            // Directory entry edges, header CRC edge, then section edges.
-            // The section count comes from the (untrusted) header; clamp it
-            // to the valid range so forged counts still yield sane cuts.
-            let n = bytes
-                .get(12..16)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
-                .unwrap_or(BASE_SECTIONS)
-                .clamp(BASE_SECTIONS, BASE_SECTIONS + 1);
-            for i in 0..n {
-                cuts.push(16 + i * 8);
-            }
-            cuts.push(header_len(n));
-            cuts.push(header_len(n) + 4);
-            if let Ok(dir) = read_directory(bytes) {
-                for (off, len, _) in dir {
-                    cuts.push(off);
-                    cuts.push(off + len);
-                }
-            }
-        }
-        _ => {
-            // v2 has no directory; cut at the fixed-field edges and at
-            // fractions of the stream so every parser phase sees a cut.
-            for f in 1..8 {
-                cuts.push(bytes.len() * f / 8);
-            }
+    // The section count comes from the (untrusted) header; clamp it to the
+    // valid range so forged counts still yield sane cuts.
+    let n = bytes
+        .get(12..16)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
+        .unwrap_or(BASE_SECTIONS)
+        .clamp(BASE_SECTIONS, BASE_SECTIONS + 1);
+    for i in 0..n {
+        cuts.push(16 + i * 8);
+    }
+    cuts.push(header_len(n));
+    cuts.push(header_len(n) + 4);
+    if let Ok(dir) = read_directory(bytes) {
+        for (off, len, _) in dir {
+            cuts.push(off);
+            cuts.push(off + len);
         }
     }
     cuts.push(bytes.len().saturating_sub(1));
@@ -1056,31 +812,17 @@ mod tests {
     }
 
     #[test]
-    fn v2_round_trip_still_reads_with_no_integrity_metadata() {
-        let squashed = squash_sample();
-        let bytes = write_v2(&squashed);
-        assert_eq!(version(&bytes), Some(2));
-        let restored = read(&bytes).expect("read back v2");
-        assert_eq!(restored.entry, squashed.entry);
-        assert_eq!(restored.segments, squashed.segments);
-        assert!(restored.runtime.region_crcs.is_empty());
-        let live = pipeline::run_squashed(&squashed, b"!").unwrap();
-        let loaded = pipeline::run_squashed(&restored, b"!").unwrap();
-        assert_eq!(live.output, loaded.output);
-        // But strict mode refuses it.
-        let err = read_strict(&bytes).unwrap_err();
-        assert_eq!(kind_of(&err), FaultKind::BadMagic);
-    }
-
-    #[test]
     fn bad_magic_is_a_typed_fault() {
         let squashed = squash_sample();
-        for writer in [write, write_v2] {
-            let mut bytes = writer(&squashed);
-            bytes[0] = b'X';
-            let err = read(&bytes).unwrap_err();
-            assert_eq!(kind_of(&err), FaultKind::BadMagic);
-        }
+        let mut bytes = write(&squashed);
+        bytes[0] = b'X';
+        assert_eq!(kind_of(&read(&bytes).unwrap_err()), FaultKind::BadMagic);
+        // The retired checksum-free SQSH0002 format loads as bad magic, in
+        // both load modes.
+        bytes[..8].copy_from_slice(b"SQSH0002");
+        assert_eq!(version(&bytes), None);
+        assert_eq!(kind_of(&read(&bytes).unwrap_err()), FaultKind::BadMagic);
+        assert_eq!(kind_of(&read_strict(&bytes).unwrap_err()), FaultKind::BadMagic);
         assert_eq!(kind_of(&read(b"").unwrap_err()), FaultKind::BadMagic);
         assert_eq!(kind_of(&read(b"SQSH").unwrap_err()), FaultKind::BadMagic);
         // Version 1 never existed in this codebase; reject by magic.
@@ -1137,56 +879,41 @@ mod tests {
 
     #[test]
     fn truncation_at_every_boundary_is_a_typed_fault() {
-        let squashed = squash_sample();
-        for writer in [write, write_v2] {
-            let bytes = writer(&squashed);
-            for cut in boundaries(&bytes) {
-                if cut == bytes.len() {
-                    continue;
-                }
-                let err = read(&bytes[..cut]).expect_err("truncated image accepted");
-                let kind = kind_of(&err);
-                assert!(
-                    matches!(kind, FaultKind::Truncated | FaultKind::BadMagic),
-                    "cut at {cut}: unexpected kind {kind:?}"
-                );
+        let bytes = write(&squash_sample());
+        for cut in boundaries(&bytes) {
+            if cut == bytes.len() {
+                continue;
             }
+            let err = read(&bytes[..cut]).expect_err("truncated image accepted");
+            let kind = kind_of(&err);
+            assert!(
+                matches!(kind, FaultKind::Truncated | FaultKind::BadMagic),
+                "cut at {cut}: unexpected kind {kind:?}"
+            );
         }
     }
 
     #[test]
     fn forged_huge_lengths_fault_without_overallocating() {
-        let squashed = squash_sample();
-        // v3: a forged section length is caught by the header checksum; a
-        // forged in-section count (e.g. segment count) by the meta parser.
-        let bytes = write(&squashed);
+        // A forged section length is caught by the header checksum; a
+        // forged in-section length by the meta parser. The meta section
+        // starts entry(4), nsegments(4), then the first segment's base(4)
+        // and length(4): forge each length to u32::MAX and fix up the
+        // section and header checksums so the parser itself must reject.
+        let bytes = write(&squash_sample());
         let dir = read_directory(&bytes).expect("directory");
         let (meta_off, meta_len, _) = dir[0];
-        let mut forged = bytes.clone();
-        // entry(4) then nsegments(4): forge the segment count to u32::MAX
-        // and fix up the section checksum so the parser itself must reject.
-        forged[meta_off + 4..meta_off + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        let crc = crc32c(&forged[meta_off..meta_off + meta_len]);
-        forged[16 + 4..16 + 8].copy_from_slice(&crc.to_le_bytes());
-        let hlen = header_len(BASE_SECTIONS);
-        let hcrc = crc32c(&forged[..hlen]);
-        forged[hlen..hlen + 4].copy_from_slice(&hcrc.to_le_bytes());
-        let err = read(&forged).unwrap_err();
-        assert_eq!(kind_of(&err), FaultKind::Truncated);
-
-        // v2 has no checksums, so forged lengths hit the parser directly:
-        // the segment count at byte 12 and the first segment's length at
-        // byte 20.
-        let v2 = write_v2(&squashed);
-        for field_off in [12usize, 20] {
-            let mut forged = v2.clone();
-            forged[field_off..field_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        for field_off in [4usize, 12] {
+            let mut forged = bytes.clone();
+            let at = meta_off + field_off;
+            forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let crc = crc32c(&forged[meta_off..meta_off + meta_len]);
+            forged[16 + 4..16 + 8].copy_from_slice(&crc.to_le_bytes());
+            let hlen = header_len(BASE_SECTIONS);
+            let hcrc = crc32c(&forged[..hlen]);
+            forged[hlen..hlen + 4].copy_from_slice(&hcrc.to_le_bytes());
             let err = read(&forged).expect_err("forged length accepted");
-            assert!(
-                matches!(kind_of(&err), FaultKind::Truncated | FaultKind::CodeTableCorrupt),
-                "forge at {field_off}: {:?}",
-                kind_of(&err)
-            );
+            assert_eq!(kind_of(&err), FaultKind::Truncated, "forge at meta byte {field_off}");
         }
     }
 

@@ -342,7 +342,6 @@ pub fn registry(t: &Telemetry) -> Registry {
             ("squash_runtime_evictions_total", rt.evictions),
             ("squash_runtime_regions_verified_total", rt.regions_verified),
             ("squash_runtime_checksum_cycles_total", rt.checksum_cycles),
-            ("squash_runtime_ref_fallbacks_total", rt.ref_fallbacks),
         ] {
             r.add_counter(name, help, &[], v);
         }

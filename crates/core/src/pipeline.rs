@@ -7,11 +7,12 @@
 
 use squash_cfg::link::{self, LinkOptions};
 use squash_cfg::Program;
-use squash_vm::{ICacheConfig, ICacheStats, TraceSink, Vm};
+use squash_vm::{ICacheConfig, ICacheStats, Sampler, Vm};
 
+use crate::fleet::cache::CacheHandle;
 use crate::layout::Squashed;
 use crate::runtime::{RuntimeStats, SquashRuntime};
-use crate::telemetry::{RunMetrics, Telemetry};
+use crate::telemetry::{Observers, RunMetrics, Telemetry};
 use crate::{err, BlockProfile, SquashError};
 
 /// Outcome of one program run.
@@ -149,147 +150,120 @@ pub fn run_original_with(
 }
 
 /// Runs a squashed program on `input` with the decompressor service
-/// attached.
+/// attached: [`run_squashed_with`] at [`RunConfig::default`].
 ///
 /// # Errors
 ///
 /// Fails on machine faults or runtime-decompressor errors (corrupt blob,
 /// stub exhaustion).
 pub fn run_squashed(squashed: &Squashed, input: &[u8]) -> Result<RunResult, SquashError> {
-    run_squashed_with(squashed, input, None)
+    run_squashed_with(squashed, input, RunConfig::default()).map(|run| run.result)
 }
 
-/// [`run_squashed`] with an optional instruction-cache model; the runtime
-/// decompressor flushes it after every decompression, as in the paper.
+/// What [`run_squashed_with`] attaches to a run. The default is the plain
+/// run: every field off.
+///
+/// None of these change what the guest does. The instruction-cache model
+/// adds its miss cycles; a deadline the run does not reach, the decode
+/// cache, the observers and the sampler leave simulated cycles exactly as
+/// they are (`tests/differential.rs` and `tests/fleet.rs` assert this).
+#[derive(Debug, Default)]
+pub struct RunConfig {
+    /// Instruction-cache model; the runtime decompressor flushes it after
+    /// every decompression, as in the paper.
+    pub icache: Option<ICacheConfig>,
+    /// Cycle budget, enforced inside the VM step loop. Running past it is a
+    /// typed `deadline_exceeded` machine check (`SquashError::fault`),
+    /// never a hang.
+    pub deadline: Option<u64>,
+    /// Fleet-shared decode cache. It shares *host* decode work between
+    /// instances of one image; simulated charges and per-instance runtime
+    /// stats are unchanged.
+    pub decode_cache: Option<CacheHandle>,
+    /// Observers fed every runtime event (traps, decompressions, cache
+    /// hits, stub churn, flushes), stamped with the simulated cycle
+    /// counter. Returned in [`Run::observers`].
+    pub observers: Option<Observers>,
+    /// Sampling period: with `Some(n)` the VM records the executing pc at
+    /// every n-th simulated cycle. The sampler is returned in
+    /// [`Run::sampler`]; collapse it with [`crate::monitor::collapse_samples`].
+    pub sample_every: Option<u64>,
+}
+
+/// One finished squashed run: its result, and the observers and sampler
+/// its [`RunConfig`] attached.
+#[derive(Debug)]
+pub struct Run {
+    /// Status, output and counters.
+    pub result: RunResult,
+    /// The observers, after seeing every event of the run.
+    pub observers: Option<Observers>,
+    /// The filled sampler, when sampling was enabled.
+    pub sampler: Option<Sampler>,
+}
+
+impl Run {
+    /// The run's [`Telemetry`] document: [`RunResult::telemetry`] plus, when
+    /// observers were attached, the attribution tables and the trace ring's
+    /// drop count, and the sampler's drop count when sampling was on.
+    pub fn telemetry(&self, name: &str) -> Telemetry {
+        let mut telemetry = self.result.telemetry(name);
+        if let Some(observers) = &self.observers {
+            telemetry.trace_drops = observers.ring.as_ref().map_or(0, |r| r.dropped());
+            telemetry.attribution = Some(observers.attribution.clone().finish(self.result.cycles));
+        }
+        telemetry.sampler_drops = self.sampler.as_ref().map_or(0, Sampler::dropped);
+        telemetry
+    }
+}
+
+/// Runs a squashed program on `input` with the decompressor service and
+/// everything `config` attaches.
 ///
 /// # Errors
 ///
-/// Fails on machine faults or runtime-decompressor errors.
+/// Fails on machine faults (including `deadline_exceeded`) or
+/// runtime-decompressor errors.
 pub fn run_squashed_with(
     squashed: &Squashed,
     input: &[u8],
-    icache: Option<ICacheConfig>,
-) -> Result<RunResult, SquashError> {
-    run_squashed_traced(squashed, input, icache, None)
-}
-
-/// [`run_squashed_with`] with an optional trace sink attached to the runtime
-/// decompressor. Every runtime event (traps, decompressions, cache hits,
-/// stub churn, flushes) is emitted into the sink, stamped with the simulated
-/// cycle counter. Tracing is purely observational: the run's cycle counts
-/// are identical with and without a sink (`tests/differential.rs` asserts
-/// this on every workload). Use a [`crate::telemetry::SharedRecorder`] to
-/// keep a handle on the recorded data.
-///
-/// # Errors
-///
-/// Fails on machine faults or runtime-decompressor errors.
-pub fn run_squashed_traced(
-    squashed: &Squashed,
-    input: &[u8],
-    icache: Option<ICacheConfig>,
-    sink: Option<Box<dyn TraceSink>>,
-) -> Result<RunResult, SquashError> {
-    run_squashed_observed(squashed, input, icache, sink, None).map(|(run, _)| run)
-}
-
-/// [`run_squashed_traced`] plus an optional deterministic sampling profiler:
-/// with `sample_every = Some(n)`, the VM records the executing pc at every
-/// n-th simulated cycle and the filled [`squash_vm::Sampler`] is returned
-/// alongside the run. Sampling shares tracing's zero-perturbation contract —
-/// it reads the cycle counter, never advances it — and
-/// `tests/differential.rs` asserts byte- and cycle-identity on every
-/// workload with both attached. Collapse the samples with
-/// [`crate::monitor::collapse_samples`].
-///
-/// # Errors
-///
-/// Fails on machine faults or runtime-decompressor errors.
-pub fn run_squashed_observed(
-    squashed: &Squashed,
-    input: &[u8],
-    icache: Option<ICacheConfig>,
-    sink: Option<Box<dyn TraceSink>>,
-    sample_every: Option<u64>,
-) -> Result<(RunResult, Option<squash_vm::Sampler>), SquashError> {
-    run_squashed_inner(squashed, input, icache, sink, sample_every, None, None)
-}
-
-/// The fleet entry point: [`run_squashed`] under a cycle-budget deadline
-/// and (optionally) a shared decode-cache handle.
-///
-/// The deadline is enforced inside the VM step loop and surfaces as a typed
-/// `deadline_exceeded` machine check (`SquashError::fault`), never a hang;
-/// a budget the run does not reach is zero-perturbation. The cache handle
-/// shares *host-side* decode work between instances of the same image —
-/// simulated cycle charges and per-instance runtime stats are unchanged, so
-/// a fleet run is byte/cycle-identical to a solo one (`tests/fleet.rs`).
-///
-/// # Errors
-///
-/// Fails on machine faults (including `DeadlineExceeded`) or
-/// runtime-decompressor errors.
-pub fn run_squashed_budgeted(
-    squashed: &Squashed,
-    input: &[u8],
-    deadline: Option<u64>,
-    cache: Option<crate::fleet::cache::CacheHandle>,
-) -> Result<RunResult, SquashError> {
-    run_squashed_inner(squashed, input, None, None, None, deadline, cache).map(|(run, _)| run)
-}
-
-fn run_squashed_inner(
-    squashed: &Squashed,
-    input: &[u8],
-    icache: Option<ICacheConfig>,
-    sink: Option<Box<dyn TraceSink>>,
-    sample_every: Option<u64>,
-    deadline: Option<u64>,
-    cache: Option<crate::fleet::cache::CacheHandle>,
-) -> Result<(RunResult, Option<squash_vm::Sampler>), SquashError> {
+    config: RunConfig,
+) -> Result<Run, SquashError> {
     let mut vm = Vm::new(squashed.min_mem_size(1 << 18));
     for (base, bytes) in &squashed.segments {
         vm.write_bytes(*base, bytes);
     }
     vm.set_pc(squashed.entry);
     vm.set_input(input.to_vec());
-    if let Some(cfg) = icache {
+    if let Some(cfg) = config.icache {
         vm.enable_icache(cfg);
     }
-    if let Some(period) = sample_every {
+    if let Some(period) = config.sample_every {
         vm.enable_sampling(period);
     }
-    vm.set_deadline(deadline);
+    vm.set_deadline(config.deadline);
     let mut service = SquashRuntime::new(squashed.runtime.clone());
-    if let Some(sink) = sink {
-        service.set_sink(sink);
-    }
-    if let Some(handle) = cache {
-        service.set_decode_cache(handle);
-    }
+    service.observers = config.observers;
+    service.decode_cache = config.decode_cache;
     let out = vm.run_with(&mut service).map_err(|e| {
         // Keep the structured machine check (region, site, cycle, kind)
         // alongside the human-readable message so `squashrun` can report a
         // typed fault instead of a bare string.
-        let fault = match &e {
-            squash_vm::VmError::MachineCheck(mc) => Some(mc.clone()),
-            _ => None,
-        };
+        let fault = e.machine_check().cloned();
         SquashError { message: format!("squashed run failed: {e}"), fault }
     })?;
-    let icache_stats = vm.icache_stats();
-    let samples = vm.take_samples();
-    Ok((
-        RunResult {
+    Ok(Run {
+        result: RunResult {
             status: out.status,
             output: vm.take_output(),
             instructions: out.instructions,
             cycles: out.cycles,
             runtime: *service.stats(),
-            icache: icache_stats,
+            icache: vm.icache_stats(),
         },
-        samples,
-    ))
+        observers: service.observers.take(),
+        sampler: vm.take_samples(),
+    })
 }
 
 /// Convenience: profile on `profile_inputs`, squash at the given options,

@@ -408,22 +408,15 @@ mod tests {
         profile: &BlockProfile,
         options: &SquashOptions,
     ) -> Telemetry {
-        use crate::telemetry::{Recorder, SharedRecorder};
         let squashed = Squasher::new(program, profile, options)
             .unwrap()
             .finish()
             .unwrap();
-        let recorder = SharedRecorder::new(Recorder {
-            ring: None,
-            attribution: Default::default(),
-            ..Recorder::default()
-        });
-        let run =
-            pipeline::run_squashed_traced(&squashed, &[], None, Some(recorder.sink()))
-                .unwrap();
-        let mut telemetry = run.telemetry("fixture");
-        telemetry.attribution = Some(recorder.take().attribution.finish(run.cycles));
-        telemetry
+        let config = pipeline::RunConfig {
+            observers: Some(Default::default()),
+            ..Default::default()
+        };
+        pipeline::run_squashed_with(&squashed, &[], config).unwrap().telemetry("fixture")
     }
 
     #[test]

@@ -42,6 +42,7 @@ use squash_compress::{CompressError, HuffmanError, StreamModel};
 use squash_isa::{BraOp, Inst, Reg};
 use squash_vm::{FaultKind, MachineCheck, Service, TraceEvent, TraceSink, TrapKind, Vm, VmError};
 
+use crate::telemetry::Observers;
 use crate::CostModel;
 
 /// The [`FaultKind`] a trap-time decode failure maps to.
@@ -58,31 +59,17 @@ fn decode_fault_kind(e: &CompressError) -> FaultKind {
     }
 }
 
-/// One region decode with the fast/reference fallback ladder: the fast
-/// two-tier table decoder first; if it errors, the bit-by-bit reference
-/// decoder (graceful degradation — a payload that passed its checksum
-/// should decode, so a fast-decoder error there is a decoder defect, not
-/// corruption), with the fallback recorded in the result. Only when both
-/// decoders reject the stream does the *fast* decoder's error propagate.
-/// A free function over the config so the fleet's shared cache can run it
-/// outside the service's mutable borrow.
+/// One region decode through the two-tier table decoder. A decoder error
+/// becomes a typed fault at the trap ([`decode_fault_kind`]), whether the
+/// payload was corrupt or passed its checksum. A free function over the
+/// config so the fleet's shared cache can run it outside the service's
+/// mutable borrow.
 fn decode_region_uncached(
     cfg: &RuntimeConfig,
     bit_off: u64,
 ) -> Result<crate::fleet::cache::Decoded, CompressError> {
-    match cfg.model.decompress_region(&cfg.blob, bit_off) {
-        Ok((insts, bits)) => {
-            Ok(crate::fleet::cache::Decoded { insts, bits, ref_fallback: false })
-        }
-        Err(fast_err) => {
-            match cfg.model.decompress_region_reference(&cfg.blob, bit_off) {
-                Ok((insts, bits)) => {
-                    Ok(crate::fleet::cache::Decoded { insts, bits, ref_fallback: true })
-                }
-                Err(_) => Err(fast_err),
-            }
-        }
-    }
+    let (insts, bits) = cfg.model.decompress_region(&cfg.blob, bit_off)?;
+    Ok(crate::fleet::cache::Decoded { insts, bits })
 }
 
 /// Everything the runtime service needs, produced by layout.
@@ -117,8 +104,7 @@ pub struct RuntimeConfig {
     /// Bit offset of each region within the blob (the offset table).
     pub bit_offsets: Vec<u64>,
     /// CRC32C of each region's byte span in the blob, verified before every
-    /// decode ([`crate::integrity`]). Empty when the image carries no
-    /// integrity metadata (legacy `SQSH0002` files): nothing is verified and
+    /// decode ([`crate::integrity`]). When empty, nothing is verified and
     /// nothing is charged for verification.
     pub region_crcs: Vec<u32>,
     /// Cycle cost model.
@@ -168,10 +154,6 @@ pub struct RuntimeStats {
     /// ([`CostModel::per_check_byte`] × span bytes), included in
     /// `cycles_charged`.
     pub checksum_cycles: u64,
-    /// Times the fast two-tier decoder errored and the bit-by-bit reference
-    /// decoder succeeded (graceful degradation; 0 unless the decoders
-    /// diverge, which the differential suite otherwise hunts down).
-    pub ref_fallbacks: u64,
 }
 
 impl RuntimeConfig {
@@ -190,17 +172,6 @@ struct CacheSlot {
     last_use: u64,
 }
 
-/// The optional trace sink, wrapped so [`SquashRuntime`] keeps a derived
-/// `Debug` (trait objects have none worth printing).
-#[derive(Default)]
-struct SinkSlot(Option<Box<dyn TraceSink>>);
-
-impl std::fmt::Debug for SinkSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() { "TraceSink(attached)" } else { "TraceSink(none)" })
-    }
-}
-
 /// The decompressor service.
 #[derive(Debug)]
 pub struct SquashRuntime {
@@ -217,15 +188,18 @@ pub struct SquashRuntime {
     /// Most recently used cache slot.
     mru: Option<usize>,
     stats: RuntimeStats,
-    /// Trace sink, if attached (`--trace` / `--report`). Tracing only
-    /// observes: it never charges cycles or touches simulated memory, so
-    /// cycle counts are identical with and without a sink.
-    sink: SinkSlot,
-    /// Fleet-shared decode cache, if attached. Sharing saves *host* decode
+    /// Observers fed every runtime event, if attached (`--trace` /
+    /// `--report`). Observers only observe: they never charge cycles or
+    /// touch simulated memory, so cycle counts are identical with and
+    /// without them.
+    pub(crate) observers: Option<Observers>,
+    /// Fleet-shared decode cache, if attached. Region decodes consult it
+    /// before running the decoder, and successful decodes populate it
+    /// (subject to the handle's tenant quota). Sharing saves *host* decode
     /// work only: the simulated charge is a pure function of the cached
     /// `(bits, insts)`, so cycles are identical with and without the cache
     /// (asserted by `tests/fleet.rs`).
-    decode_cache: Option<crate::fleet::cache::CacheHandle>,
+    pub(crate) decode_cache: Option<crate::fleet::cache::CacheHandle>,
 }
 
 impl SquashRuntime {
@@ -242,38 +216,16 @@ impl SquashRuntime {
             tick: 0,
             mru: None,
             stats: RuntimeStats::default(),
-            sink: SinkSlot(None),
+            observers: None,
             decode_cache: None,
         }
     }
 
-    /// Attaches a fleet-shared decode cache handle: region decodes consult
-    /// the shared cache before running the decoder, and successful local
-    /// decodes populate it (subject to the handle's tenant quota). Purely a
-    /// host-side optimization — simulated cycle counts, stats and guest
-    /// output are identical with and without a cache attached.
-    pub fn set_decode_cache(&mut self, handle: crate::fleet::cache::CacheHandle) {
-        self.decode_cache = Some(handle);
-    }
-
-    /// Attaches a trace sink; every subsequent runtime event is emitted into
-    /// it, stamped with the simulated cycle counter. Tracing is purely
-    /// observational — simulated cycles are identical with and without a
-    /// sink (asserted by `tests/differential.rs`).
-    pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = SinkSlot(Some(sink));
-    }
-
-    /// Detaches and returns the trace sink, if one was attached.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.0.take()
-    }
-
-    /// Emits `event` into the attached sink, stamped with the current
-    /// simulated cycle count. No-op without a sink.
+    /// Emits `event` into the attached observers, stamped with the current
+    /// simulated cycle count. No-op without observers.
     fn trace(&mut self, vm: &Vm, event: TraceEvent) {
-        if let Some(s) = self.sink.0.as_mut() {
-            s.emit(vm.cycles(), &event);
+        if let Some(o) = self.observers.as_mut() {
+            o.emit(vm.cycles(), &event);
         }
     }
 
@@ -570,22 +522,13 @@ impl SquashRuntime {
                 None => decode_region_uncached(cfg, bit_off),
             }
         };
-        let decoded = match decoded {
-            Ok(d) => d,
-            Err(fast_err) => {
-                return Err(fault(
-                    vm,
-                    decode_fault_kind(&fast_err),
-                    format!("region {region} decompression failed: {fast_err}"),
-                ))
-            }
-        };
-        if decoded.ref_fallback {
-            // Replayed per instance even when the decode was shared, so
-            // per-tenant attribution of the fallback event stays exact.
-            self.stats.ref_fallbacks += 1;
-        }
-        let crate::fleet::cache::Decoded { mut insts, bits, .. } = decoded;
+        let crate::fleet::cache::Decoded { mut insts, bits } = decoded.map_err(|e| {
+            fault(
+                vm,
+                decode_fault_kind(&e),
+                format!("region {region} decompression failed: {e}"),
+            )
+        })?;
         if insts.len() as u32 * 4 > self.cfg.buffer_bytes {
             return Err(fault(
                 vm,
@@ -615,11 +558,10 @@ impl SquashRuntime {
         self.stats.bits_read += bits;
         self.stats.insts_written += insts.len() as u64;
         // The simulated charge is a pure function of the stream: the bit
-        // count and instruction count a *correct* decoder observes. The host
-        // decoder behind `decompress_region` (the two-tier table decoder, or
-        // the bit-by-bit reference) changes host wall-clock only — both
-        // consume identical bits on every stream (asserted differentially),
-        // so the cycles charged here are decoder-independent.
+        // count and instruction count a *correct* decoder observes. The
+        // two-tier table decoder and the bit-by-bit reference consume
+        // identical bits on every stream (asserted differentially), so the
+        // cycles charged here are decoder-independent.
         let cost = self.cfg.cost.per_call
             + bits * self.cfg.cost.per_bit
             + insts.len() as u64 * self.cfg.cost.per_inst;
@@ -1117,47 +1059,34 @@ mod tests {
         assert_eq!(rt.stats.restores, 2);
     }
 
-    /// A clonable sink handle: records `(cycle, kind)` pairs behind an `Rc`
-    /// so the test keeps a reader while the runtime owns the boxed sink, and
-    /// asserts stamps are non-decreasing.
-    #[derive(Clone, Default)]
-    struct SharedLog(std::rc::Rc<std::cell::RefCell<Vec<(u64, &'static str)>>>);
-
-    impl TraceSink for SharedLog {
-        fn emit(&mut self, cycle: u64, event: &TraceEvent) {
-            let mut log = self.0.borrow_mut();
-            if let Some(&(last, _)) = log.last() {
-                assert!(cycle >= last, "cycle stamps must be non-decreasing");
-            }
-            log.push((cycle, event.kind()));
-        }
-    }
-
     /// Tracing is observational: the same scripted sequence charges exactly
-    /// the same cycles with and without a sink, and the traced run emits the
-    /// expected event sequence.
+    /// the same cycles with and without observers, and the traced run emits
+    /// the expected event sequence with non-decreasing stamps.
     #[test]
     fn tracing_is_cycle_invariant_and_ordered() {
         let seq: [u16; 6] = [0, 1, 0, 2, 1, 1];
-        let run = |sink: Option<Box<dyn TraceSink>>| {
+        let run = |observers: Option<Observers>| {
             let mut rt = SquashRuntime::new(cached_config(3, 2));
-            if let Some(s) = sink {
-                rt.set_sink(s);
-            }
+            rt.observers = observers;
             let mut vm = squash_vm::Vm::new(1 << 16);
             for &r in &seq {
                 rt.decompress_to(&mut vm, r, 0).unwrap();
             }
-            (rt.stats.cycles_charged, vm.cycles())
+            ((rt.stats.cycles_charged, vm.cycles()), rt.observers)
         };
-        let log = SharedLog::default();
-        let untraced = run(None);
-        let traced = run(Some(Box::new(log.clone())));
-        assert_eq!(untraced, traced, "sink must not perturb cycles");
+        let (untraced, _) = run(None);
+        let ring = squash_vm::JsonlRing::unbounded();
+        let (traced, observers) = run(Some(Observers { ring: Some(ring), ..Observers::default() }));
+        assert_eq!(untraced, traced, "observers must not perturb cycles");
 
         // Event order: misses bracket DecompressStart/ICacheFlush/End, hits
-        // emit CacheHit; stamps are non-decreasing (asserted in the sink).
-        let kinds: Vec<&str> = log.0.borrow().iter().map(|&(_, k)| k).collect();
+        // emit CacheHit.
+        use crate::telemetry::json::{self, Json};
+        let ring = observers.and_then(|o| o.ring).expect("ring returned");
+        let events: Vec<Json> = ring.lines().map(|l| json::parse(l).unwrap()).collect();
+        let stamps: Vec<u64> = events.iter().filter_map(|e| e.get("cycle")?.as_u64()).collect();
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "stamps must be non-decreasing");
+        let kinds: Vec<&str> = events.iter().filter_map(|e| e.get("kind")?.as_str()).collect();
         assert_eq!(
             kinds,
             vec![

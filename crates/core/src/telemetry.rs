@@ -28,9 +28,7 @@
 //! tiny value type, emitter and parser the schema needs — the same
 //! hand-rolled approach `squash_bench::report` already uses.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use squash_vm::{ICacheStats, JsonlRing, TraceEvent, TraceSink, TrapKind};
 
@@ -758,12 +756,16 @@ impl AttributionReport {
     }
 }
 
-/// A [`TraceSink`] fanning events out to every consumer one run can want:
-/// a JSONL line buffer (`--trace`), [`Attribution`] (`--report` /
+/// Every observer one run can carry, fed each runtime event in turn: a
+/// JSONL line buffer (`--trace`), [`Attribution`] (`--report` /
 /// `--metrics-json`), a hierarchical span builder (`--spans`), and a
 /// buffer-slot residency timeline (sample attribution for `--samples`).
+///
+/// The runtime owns the observers while the image runs, and
+/// [`crate::pipeline::run_squashed_with`] hands them back in
+/// [`crate::pipeline::Run::observers`].
 #[derive(Debug, Clone, Default)]
-pub struct Recorder {
+pub struct Observers {
     /// The JSONL buffer, if line output was requested.
     pub ring: Option<JsonlRing>,
     /// The attribution sink.
@@ -774,22 +776,7 @@ pub struct Recorder {
     pub timeline: Option<crate::monitor::SlotTimeline>,
 }
 
-impl Recorder {
-    /// A recorder that attributes but keeps no lines.
-    pub fn attribution_only() -> Recorder {
-        Recorder::default()
-    }
-
-    /// A recorder that also buffers every event as a JSONL line.
-    pub fn with_ring(ring: JsonlRing) -> Recorder {
-        Recorder {
-            ring: Some(ring),
-            ..Recorder::default()
-        }
-    }
-}
-
-impl TraceSink for Recorder {
+impl TraceSink for Observers {
     fn emit(&mut self, cycle: u64, event: &TraceEvent) {
         if let Some(ring) = self.ring.as_mut() {
             ring.emit(cycle, event);
@@ -801,44 +788,6 @@ impl TraceSink for Recorder {
         if let Some(timeline) = self.timeline.as_mut() {
             timeline.emit(cycle, event);
         }
-    }
-}
-
-/// A clonable handle to a shared [`Recorder`].
-///
-/// The pipeline takes sinks by `Box<dyn TraceSink>`, which would strand the
-/// recorded data inside the runtime; a `SharedRecorder` solves this by
-/// handing the pipeline a clone while the caller keeps its handle and
-/// extracts the recorder afterwards with [`SharedRecorder::take`].
-#[derive(Debug, Clone, Default)]
-pub struct SharedRecorder(Rc<RefCell<Recorder>>);
-
-impl SharedRecorder {
-    /// Wraps a recorder in a shared handle.
-    pub fn new(recorder: Recorder) -> SharedRecorder {
-        SharedRecorder(Rc::new(RefCell::new(recorder)))
-    }
-
-    /// A boxed clone of this handle, ready for
-    /// [`crate::pipeline::run_squashed_traced`].
-    pub fn sink(&self) -> Box<dyn TraceSink> {
-        Box::new(self.clone())
-    }
-
-    /// Extracts the recorder. Cheap (no clone) once every other handle has
-    /// been dropped — which is the normal case, since the pipeline drops the
-    /// runtime (and its boxed handle) before returning.
-    pub fn take(self) -> Recorder {
-        match Rc::try_unwrap(self.0) {
-            Ok(cell) => cell.into_inner(),
-            Err(rc) => rc.borrow().clone(),
-        }
-    }
-}
-
-impl TraceSink for SharedRecorder {
-    fn emit(&mut self, cycle: u64, event: &TraceEvent) {
-        self.0.borrow_mut().emit(cycle, event);
     }
 }
 
@@ -914,7 +863,7 @@ pub struct Telemetry {
     pub icache: Option<ICacheStats>,
     /// Compile-pipeline stage records, if squashing was observed.
     pub stages: Vec<StageRecord>,
-    /// Per-region attribution, if a trace sink was attached.
+    /// Per-region attribution, if observers were attached.
     pub attribution: Option<AttributionReport>,
     /// Machine-check faults by kind, if any were observed (a faulting
     /// `squashrun` emits exactly one; harnesses may aggregate more).
@@ -1012,7 +961,6 @@ impl Telemetry {
                         sat(&mut acc.evictions, rt.evictions);
                         sat(&mut acc.regions_verified, rt.regions_verified);
                         sat(&mut acc.checksum_cycles, rt.checksum_cycles);
-                        sat(&mut acc.ref_fallbacks, rt.ref_fallbacks);
                     }
                 }
             }
@@ -1141,7 +1089,6 @@ impl Telemetry {
                     ("evictions", int(rt.evictions)),
                     ("regions_verified", int(rt.regions_verified)),
                     ("checksum_cycles", int(rt.checksum_cycles)),
-                    ("ref_fallbacks", int(rt.ref_fallbacks)),
                 ]),
             ));
         }
@@ -1271,10 +1218,10 @@ impl Telemetry {
                 misses: req(rt, "misses")?,
                 evictions: req(rt, "evictions")?,
                 // Integrity counters postdate the first schema; absent keys
-                // read as zero so old documents still parse.
+                // read as zero so old documents still parse. Retired keys
+                // in old documents are ignored like any unknown key.
                 regions_verified: opt(rt, "regions_verified"),
                 checksum_cycles: opt(rt, "checksum_cycles"),
-                ref_fallbacks: opt(rt, "ref_fallbacks"),
             });
         }
         if let Some(ic) = v.get("icache") {
@@ -1546,7 +1493,6 @@ mod tests {
             misses: 7,
             regions_verified: 7,
             checksum_cycles: 640,
-            ref_fallbacks: 1,
             ..RuntimeStats::default()
         };
         // ICacheStats is #[non_exhaustive] in another crate, so it cannot be
@@ -1606,7 +1552,6 @@ mod tests {
             "\"attributed_cycles\":490",
             "\"regions_verified\"",
             "\"checksum_cycles\"",
-            "\"ref_fallbacks\"",
             "\"kind\":\"region_checksum\"",
         ] {
             assert!(text.contains(key), "missing {key} in {text}");
@@ -1626,8 +1571,14 @@ mod tests {
         let rt = t.runtime.unwrap();
         assert_eq!(rt.regions_verified, 0);
         assert_eq!(rt.checksum_cycles, 0);
-        assert_eq!(rt.ref_fallbacks, 0);
         assert!(t.faults.is_empty());
+        // Documents written while the runtime had a reference-decoder
+        // fallback carry a retired `ref_fallbacks` counter: ignored, not an
+        // error, and not written back.
+        let doc = doc.replace("\"evictions\":0", "\"evictions\":0,\"ref_fallbacks\":3");
+        let t = Telemetry::from_json(&json::parse(&doc).unwrap()).unwrap();
+        assert_eq!(t.runtime.unwrap().cycles_charged, 9);
+        assert!(!t.to_json_string().contains("ref_fallbacks"));
     }
 
     /// Narrowed fields (`region: u16`, `site: u32`, `max_live_stubs: usize`)
@@ -1836,18 +1787,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_recorder_round_trip() {
-        let shared = SharedRecorder::new(Recorder::with_ring(JsonlRing::unbounded()));
-        let mut sink = shared.sink();
-        sink.emit(5, &TraceEvent::DecompressStart { region: 1 });
-        sink.emit(
+    fn observers_fan_out_to_ring_and_attribution() {
+        let mut observers =
+            Observers { ring: Some(JsonlRing::unbounded()), ..Observers::default() };
+        observers.emit(5, &TraceEvent::DecompressStart { region: 1 });
+        observers.emit(
             90,
             &TraceEvent::DecompressEnd { region: 1, bits: 2, insts: 1, slot: 0, evicted: None },
         );
-        drop(sink);
-        let recorder = shared.take();
-        assert_eq!(recorder.ring.as_ref().map(JsonlRing::len), Some(2));
-        let report = recorder.attribution.finish(100);
+        assert_eq!(observers.ring.as_ref().map(JsonlRing::len), Some(2));
+        let report = observers.attribution.finish(100);
         assert_eq!(report.regions.len(), 1);
         assert_eq!(report.regions[0].decompressions, 1);
     }

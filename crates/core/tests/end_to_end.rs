@@ -437,7 +437,8 @@ fn icache_model_preserves_behaviour_and_counts_flushes() {
     let cfg = Some(squash_vm::ICacheConfig::default());
     let plain = pipeline::run_original(&p, b"C").unwrap();
     let orig = pipeline::run_original_with(&p, b"C", cfg).unwrap();
-    let comp = pipeline::run_squashed_with(&squashed, b"C", cfg).unwrap();
+    let config = pipeline::RunConfig { icache: cfg, ..Default::default() };
+    let comp = pipeline::run_squashed_with(&squashed, b"C", config).unwrap().result;
     assert_eq!(orig.output, comp.output);
     assert_eq!(orig.status, comp.status);
     // The cache model adds miss cycles to both runs…

@@ -2,9 +2,9 @@
 //! layer's foundation).
 //!
 //! A [`TraceSink`] receives typed [`TraceEvent`]s stamped with the simulated
-//! cycle counter at the moment of emission. Emitters hold an
-//! `Option<Box<dyn TraceSink>>` and skip everything when no sink is
-//! attached, so disabled tracing is a no-op: events never charge cycles,
+//! cycle counter at the moment of emission. Emitters hold an optional sink
+//! and skip everything when none is attached, so disabled tracing is a
+//! no-op: events never charge cycles,
 //! and the simulated cycle counts are byte-for-byte identical with and
 //! without a sink (asserted by `tests/differential.rs` in the workspace
 //! root).

@@ -12,8 +12,7 @@
 //!   --load-profile <f> use a saved profile instead of profiling
 //!   --run <file>       run original + squashed on this input and compare
 //!   --emit <file>      write the squashed program as a .sqsh image
-//!   --emit-format <v>  .sqsh format version: 3 (default, integrity-checked)
-//!                      or 2 (legacy, no checksums)
+//!                      (SQSH0003, integrity-checked)
 //!   --no-squeeze       skip the baseline compactor
 //!   --strategy <s>     regions: dfs | greedy (default dfs)
 //!   --jump-tables <m>  retarget | unswitch | exclude (default retarget)
@@ -74,7 +73,6 @@ struct Args {
     spans: Option<String>,
     retune: Vec<String>,
     dump_regions: bool,
-    emit_format: u32,
 }
 
 impl Args {
@@ -98,7 +96,6 @@ fn parse_args() -> Result<Args, String> {
         squeeze: true,
         strategy: RegionStrategy::DfsTree,
         jump_tables: JumpTableMode::Retarget,
-        emit_format: 3,
         jobs: 1,
         stage_stats: false,
         metrics_json: None,
@@ -133,13 +130,6 @@ fn parse_args() -> Result<Args, String> {
             "--profile" => args.profile = Some(value("--profile")?),
             "--run" => args.run = Some(value("--run")?),
             "--emit" => args.emit = Some(value("--emit")?),
-            "--emit-format" => {
-                args.emit_format = match value("--emit-format")?.as_str() {
-                    "2" => 2,
-                    "3" => 3,
-                    other => return Err(format!("--emit-format: unknown format `{other}` (2 or 3)")),
-                }
-            }
             "--save-profile" => args.save_profile = Some(value("--save-profile")?),
             "--load-profile" => args.load_profile = Some(value("--load-profile")?),
             "--no-squeeze" => args.squeeze = false,
@@ -175,7 +165,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: squashc <source.mc>... [--theta F] [--buffer N] \
-                            [--cache-slots N] [--profile FILE] [--run FILE] [--emit FILE] [--emit-format 2|3] \
+                            [--cache-slots N] [--profile FILE] [--run FILE] [--emit FILE] \
                             [--no-squeeze] [--strategy dfs|greedy] [--jump-tables MODE] \
                             [--jobs N] [--stage-stats] [--metrics-json FILE|-] \
                             [--spans FILE] [--retune FILE]... [--dump-regions]"
@@ -286,13 +276,6 @@ fn run() -> Result<(), String> {
             .collect();
         squashed
     } else {
-        if args.emit_format == 2 {
-            return Err(
-                "--retune records provenance, which the legacy format 2 cannot carry; \
-                 drop --emit-format 2"
-                    .to_string(),
-            );
-        }
         retune_image(&args, &program, &profile, &options)?
     };
     let stats = &squashed.stats;
@@ -309,12 +292,7 @@ fn run() -> Result<(), String> {
     );
 
     if let Some(path) = &args.emit {
-        // Format 3 (the default) is the integrity-checked sectioned layout;
-        // format 2 is the legacy flat layout kept for cost comparisons.
-        let bytes = match args.emit_format {
-            2 => squash_repro::squash::image_file::write_v2(&squashed),
-            _ => squash_repro::squash::image_file::write(&squashed),
-        };
+        let bytes = squash_repro::squash::image_file::write(&squashed);
         std::fs::write(path, &bytes).map_err(|e| format!("{path}: {e}"))?;
         say!(q, "\nwrote {} ({} bytes) — run it with `squashrun {}`", path, bytes.len(), path);
     }

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `--trace FILE` streams every runtime event as one JSON line (JSONL) into
-//! FILE; `--trace-last N` bounds the buffer to the last N events. `--report`
+//! FILE; `--trace-last N` (N ≥ 1) bounds the buffer to the last N events. `--report`
 //! prints per-region cycle attribution (the per-region table, the top
 //! regions by attributed cost, and the trap inter-arrival histogram) to
 //! stderr. `--metrics-json FILE` writes the unified telemetry report — run,
@@ -34,10 +34,9 @@
 //! `SQSH0003` images carry checksums: the header and metadata sections are
 //! verified at load, each compressed region's payload at first use (the
 //! verification cycles are part of the cost model and reported in
-//! telemetry). Legacy `SQSH0002` images still run but carry no checksums; a
-//! note (`integrity: none`) is printed to stderr. `--strict-integrity`
-//! additionally verifies the whole compressed blob at load and refuses v2
-//! images.
+//! telemetry). `--strict-integrity` additionally verifies the whole
+//! compressed blob at load. Any other format, including the retired
+//! checksum-free `SQSH0002`, is a bad-magic machine check.
 //!
 //! # Exit status
 //!
@@ -56,8 +55,9 @@
 
 use squash_repro::cli::CliError;
 use squash_repro::squash::monitor::{self, AreaMap, SlotTimeline, SpanBuilder};
-use squash_repro::squash::telemetry::{FaultCount, Recorder, SharedRecorder};
-use squash_repro::squash::{image_file, pipeline, SquashError};
+use squash_repro::squash::pipeline::{self, RunConfig};
+use squash_repro::squash::telemetry::{FaultCount, Observers};
+use squash_repro::squash::{image_file, SquashError};
 use squash_repro::vm::{ICacheConfig, JsonlRing};
 use std::process::ExitCode;
 
@@ -111,11 +111,13 @@ fn run() -> Result<i64, CliError> {
             "--strict-integrity" => strict = true,
             "--trace" => trace_path = Some(value("--trace")?),
             "--trace-last" => {
-                trace_last = Some(
-                    value("--trace-last")?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("bad --trace-last: {e}")))?,
-                )
+                let n: usize = value("--trace-last")?
+                    .parse()
+                    .map_err(|e| CliError::Usage(format!("bad --trace-last: {e}")))?;
+                if n == 0 {
+                    return Err(CliError::Usage("--trace-last must be nonzero".into()));
+                }
+                trace_last = Some(n);
             }
             "--report" => report = true,
             "--metrics-json" => metrics_path = Some(value("--metrics-json")?),
@@ -143,54 +145,47 @@ fn run() -> Result<i64, CliError> {
         Ok(s) => s,
         Err(e) => return Err(on_fault(&metrics_path, &image_path, e)),
     };
-    if image_file::version(&bytes) == Some(2) {
-        eprintln!("[squashrun] {image_path}: legacy SQSH0002 image, integrity: none");
-    }
     let input = match input_path {
         Some(p) => std::fs::read(&p).map_err(|e| CliError::io(&p, &e))?,
         None => Vec::new(),
     };
-    let cache = icache.then(ICacheConfig::default);
 
-    // One shared recorder serves every telemetry flag: the ring buffers
+    // One set of observers serves every telemetry flag: the ring buffers
     // JSONL lines for --trace, attribution feeds --report / --metrics-json,
     // the span builder feeds --spans, the slot timeline feeds --samples.
     let sampling = samples_path.is_some() || sample_every.is_some();
-    let tracing = trace_path.is_some() || report || metrics_path.is_some()
+    let observed = trace_path.is_some() || report || metrics_path.is_some()
         || spans_path.is_some()
         || sampling;
-    let recorder = tracing.then(|| {
-        let ring = trace_path.as_ref().map(|_| match trace_last {
-            Some(n) => JsonlRing::last(n),
-            None => JsonlRing::unbounded(),
-        });
-        SharedRecorder::new(Recorder {
-            ring,
+    let config = RunConfig {
+        icache: icache.then(ICacheConfig::default),
+        observers: observed.then(|| Observers {
+            ring: trace_path.as_ref().map(|_| match trace_last {
+                Some(n) => JsonlRing::last(n),
+                None => JsonlRing::unbounded(),
+            }),
             attribution: Default::default(),
             spans: spans_path.as_ref().map(|_| SpanBuilder::new()),
             timeline: sampling.then(SlotTimeline::new),
-        })
-    });
-
-    let (result, sampler) = match pipeline::run_squashed_observed(
-        &squashed,
-        &input,
-        cache,
-        recorder.as_ref().map(|r| r.sink()),
-        sampling.then(|| sample_every.unwrap_or(DEFAULT_SAMPLE_PERIOD)),
-    ) {
-        Ok(r) => r,
+        }),
+        sample_every: sampling.then(|| sample_every.unwrap_or(DEFAULT_SAMPLE_PERIOD)),
+        ..RunConfig::default()
+    };
+    let run = match pipeline::run_squashed_with(&squashed, &input, config) {
+        Ok(run) => run,
         Err(e) => return Err(on_fault(&metrics_path, &image_path, e)),
     };
+    let result = &run.result;
     use std::io::Write as _;
     std::io::stdout()
         .write_all(&result.output)
         .map_err(|e| CliError::io("stdout", &e))?;
 
-    let mut telemetry = result.telemetry(&image_path);
-    if let Some(recorder) = recorder {
-        let recorder = recorder.take();
-        if let (Some(path), Some(ring)) = (&trace_path, &recorder.ring) {
+    // Trace and sampler drops ride in the telemetry document (not just
+    // stderr), so fleet merges can attribute truncated data per run.
+    let telemetry = run.telemetry(&image_path);
+    if let Some(observers) = run.observers {
+        if let (Some(path), Some(ring)) = (&trace_path, &observers.ring) {
             let file = std::fs::File::create(path).map_err(|e| CliError::io(path, &e))?;
             let mut w = std::io::BufWriter::new(file);
             ring.write_to(&mut w).map_err(|e| CliError::io(path, &e))?;
@@ -202,16 +197,15 @@ fn run() -> Result<i64, CliError> {
                     trace_last.unwrap_or(0)
                 );
             }
-            telemetry.trace_drops = ring.dropped();
         }
-        if let (Some(path), Some(spans)) = (&spans_path, recorder.spans) {
+        if let (Some(path), Some(spans)) = (&spans_path, observers.spans) {
             std::fs::write(path, spans.finish().to_chrome_json() + "\n")
                 .map_err(|e| CliError::io(path, &e))?;
         }
         if let Some(path) = &samples_path {
-            let sampler = sampler.as_ref().expect("sampling was enabled");
+            let sampler = run.sampler.as_ref().expect("sampling was enabled");
             let map = AreaMap::from_runtime(&squashed.runtime);
-            let timeline = recorder.timeline.as_ref().expect("timeline recorded");
+            let timeline = observers.timeline.as_ref().expect("timeline recorded");
             let stacks =
                 monitor::collapse_samples(&image_path, sampler.samples(), &map, timeline);
             std::fs::write(path, stacks.render()).map_err(|e| CliError::io(path, &e))?;
@@ -222,12 +216,6 @@ fn run() -> Result<i64, CliError> {
                 );
             }
         }
-        // Sampler drops ride in the telemetry document (not just stderr), so
-        // fleet merges can attribute truncated flame data per run.
-        if let Some(sampler) = &sampler {
-            telemetry.sampler_drops = sampler.dropped();
-        }
-        telemetry.attribution = Some(recorder.attribution.finish(result.cycles));
     }
     if let Some(path) = &metrics_path {
         let doc = telemetry.to_json_string() + "\n";
@@ -261,10 +249,8 @@ fn run() -> Result<i64, CliError> {
         );
         if !squashed.runtime.region_crcs.is_empty() {
             eprintln!(
-                "[squashrun] integrity: {} regions verified, {} checksum cycles, {} reference-decoder fallbacks",
-                result.runtime.regions_verified,
-                result.runtime.checksum_cycles,
-                result.runtime.ref_fallbacks
+                "[squashrun] integrity: {} regions verified, {} checksum cycles",
+                result.runtime.regions_verified, result.runtime.checksum_cycles
             );
         }
         if let Some(ic) = result.icache {

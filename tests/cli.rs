@@ -324,22 +324,14 @@ fn squashc_retune_rejects_bad_inputs() {
         assert!(err.contains("finite"), "--theta {bad}: {err}");
     }
 
-    // Provenance cannot ride in the legacy format.
-    let junk_ok = dir.join("empty-telemetry.json");
-    std::fs::write(&junk_ok, "{\"schema\":2,\"name\":\"x\"}").unwrap();
+    // SQSH0003 is the only output format: the retired format selector is
+    // an unknown option.
     let out = Command::new(env!("CARGO_BIN_EXE_squashc"))
-        .args([
-            src.to_str().unwrap(),
-            "--retune",
-            junk_ok.to_str().unwrap(),
-            "--emit-format",
-            "2",
-        ])
+        .args([src.to_str().unwrap(), "--emit-format", "2"])
         .output()
         .expect("squashc runs");
-    assert!(!out.status.success());
     assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("format"), "format-2 clash unexplained");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
 }
 
 #[test]
@@ -728,6 +720,15 @@ fn squashrun_exit_codes_follow_the_sysexits_contract() {
     assert_eq!(out.status.code(), Some(2), "usage error must exit 2");
     assert!(String::from_utf8_lossy(&out.stderr).contains("no-such-flag"));
 
+    // Usage: an always-empty trace ring is refused while parsing.
+    let trace = dir.join("codes.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_squashrun"))
+        .args([image.to_str().unwrap(), "--trace", trace.to_str().unwrap(), "--trace-last", "0"])
+        .output()
+        .expect("squashrun runs");
+    assert_eq!(out.status.code(), Some(2), "--trace-last 0 must be a usage error");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--trace-last"));
+
     // I/O: image file does not exist.
     let out = Command::new(env!("CARGO_BIN_EXE_squashrun"))
         .arg(dir.join("missing.sqsh").to_str().unwrap())
@@ -746,6 +747,74 @@ fn squashrun_exit_codes_follow_the_sysexits_contract() {
         .expect("squashrun runs");
     assert_eq!(out.status.code(), Some(70), "machine check must exit 70");
     assert!(String::from_utf8_lossy(&out.stderr).contains("machine check"));
+
+    // Machine check: the retired SQSH0002 format is bad magic.
+    let mut v2 = bytes.clone();
+    v2[..8].copy_from_slice(b"SQSH0002");
+    let legacy = dir.join("codes-v2.sqsh");
+    std::fs::write(&legacy, &v2).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_squashrun"))
+        .arg(legacy.to_str().unwrap())
+        .output()
+        .expect("squashrun runs");
+    assert_eq!(out.status.code(), Some(70), "SQSH0002 must exit 70");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("kind=bad_magic"));
+}
+
+/// The CLI and the library take one run path: `squashrun --metrics-json`
+/// on an image equals `run_squashed_with` on the same image and input with
+/// the same observers, read through `Run::telemetry`.
+#[test]
+fn squashrun_metrics_equal_the_library_run() {
+    use squash_repro::squash::pipeline::{self, RunConfig};
+    use squash_repro::squash::telemetry::{json, Observers, Telemetry};
+    use squash_repro::squash::image_file;
+    use squash_repro::vm::{ICacheConfig, JsonlRing};
+
+    let dir = temp_dir();
+    let image = emit_image(&dir, "onepath");
+    let timing = dir.join("onepath-timing.bin");
+    let input = b"timing \xf0\xff\xee bytes";
+    std::fs::write(&timing, input).unwrap();
+    let trace = dir.join("onepath.jsonl");
+    let samples = dir.join("onepath-samples.txt");
+    let path = image.to_str().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_squashrun"))
+        .args([
+            path,
+            "--input",
+            timing.to_str().unwrap(),
+            "--icache",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--trace-last",
+            "3",
+            "--samples",
+            samples.to_str().unwrap(),
+            "--sample-every",
+            "50",
+            "--metrics-json",
+            "-",
+        ])
+        .output()
+        .expect("squashrun runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc = stdout.lines().rev().find(|l| !l.trim().is_empty()).unwrap();
+    let cli = Telemetry::from_json(&json::parse(doc).expect("json")).expect("telemetry");
+
+    let squashed = image_file::read(&std::fs::read(&image).unwrap()).expect("load");
+    let config = RunConfig {
+        icache: Some(ICacheConfig::default()),
+        observers: Some(Observers { ring: Some(JsonlRing::last(3)), ..Observers::default() }),
+        sample_every: Some(50),
+        ..RunConfig::default()
+    };
+    let run = pipeline::run_squashed_with(&squashed, input, config).expect("library run");
+    let lib = run.telemetry(path);
+    assert!(lib.trace_drops > 0 && lib.attribution.is_some(), "{lib:?}");
+    let lib = Telemetry::from_json(&json::parse(&lib.to_json_string()).unwrap()).unwrap();
+    assert_eq!(cli, lib, "squashrun and run_squashed_with disagree");
 }
 
 /// `squashd` end to end: a store smoke pass, a multi-tenant script with

@@ -169,17 +169,8 @@ fn measure_doc(
     input: &[u8],
     name: &str,
 ) -> squash_repro::squash::telemetry::Telemetry {
-    use squash_repro::squash::telemetry::{Recorder, SharedRecorder};
-    let recorder = SharedRecorder::new(Recorder {
-        ring: None,
-        attribution: Default::default(),
-        ..Recorder::default()
-    });
-    let run = pipeline::run_squashed_traced(squashed, input, None, Some(recorder.sink()))
-        .expect("measured run");
-    let mut telemetry = run.telemetry(name);
-    telemetry.attribution = Some(recorder.take().attribution.finish(run.cycles));
-    telemetry
+    let config = pipeline::RunConfig { observers: Some(Default::default()), ..Default::default() };
+    pipeline::run_squashed_with(squashed, input, config).expect("measured run").telemetry(name)
 }
 
 /// A two-document fleet from the adpcm workload: the timing input split in

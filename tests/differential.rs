@@ -14,8 +14,8 @@
 //! equal the per-call/per-bit/per-inst cost model at every cache depth —
 //! i.e. the fast decoder is invisible to the simulation.
 //!
-//! Since PR 4 the runtime can carry a trace sink. Each squashed run here is
-//! executed twice, with and without a sink, and the runs must be
+//! Since PR 4 the runtime can carry observers. Each squashed run here is
+//! executed twice, with and without observers, and the runs must be
 //! byte-for-byte identical in observable behaviour *and* simulated cycles —
 //! tracing observes, never charges. The sink's per-region attribution must
 //! also explain at least 99% of all service-charged cycles (in practice:
@@ -28,8 +28,9 @@
 //! the sample→area collapse must conserve the sample count.
 
 use squash_repro::squash::monitor::{self, SlotTimeline, SpanBuilder};
-use squash_repro::squash::telemetry::{Recorder, SharedRecorder};
-use squash_repro::squash::{pipeline, SquashOptions, Squasher};
+use squash_repro::squash::pipeline::{self, RunConfig};
+use squash_repro::squash::telemetry::Observers;
+use squash_repro::squash::{SquashOptions, Squasher};
 
 const CACHE_SIZES: [usize; 3] = [1, 2, 4];
 
@@ -84,20 +85,19 @@ fn check_workload(name: &str) {
         // slot timeline, and the sampling profiler (prime period so ticks
         // interleave oddly with service charges) — must not perturb the
         // simulation in any observable way.
-        let recorder = SharedRecorder::new(Recorder {
-            attribution: Default::default(),
-            spans: Some(SpanBuilder::new()),
-            timeline: Some(SlotTimeline::new()),
-            ..Recorder::default()
-        });
-        let (traced, sampler) = pipeline::run_squashed_observed(
-            &squashed,
-            &input,
-            None,
-            Some(recorder.sink()),
-            Some(257),
-        )
-        .unwrap_or_else(|e| panic!("{name} traced with {slots} cache slots: {e}"));
+        let config = RunConfig {
+            observers: Some(Observers {
+                spans: Some(SpanBuilder::new()),
+                timeline: Some(SlotTimeline::new()),
+                ..Observers::default()
+            }),
+            sample_every: Some(257),
+            ..RunConfig::default()
+        };
+        let run = pipeline::run_squashed_with(&squashed, &input, config)
+            .unwrap_or_else(|e| panic!("{name} traced with {slots} cache slots: {e}"));
+        let telemetry = run.telemetry(name);
+        let traced = &run.result;
         assert_eq!(
             (compressed.cycles, compressed.instructions, &compressed.output, compressed.status),
             (traced.cycles, traced.instructions, &traced.output, traced.status),
@@ -111,14 +111,14 @@ fn check_workload(name: &str) {
         // to the final cycle, spans all closed (every trap found its
         // terminal event), and the sample↔timeline join accounts for every
         // sample.
-        let sampler = sampler.expect("sampling was enabled");
+        let sampler = run.sampler.expect("sampling was enabled");
         assert_eq!(
             sampler.samples().len() as u64,
             traced.cycles / 257,
             "{name}: sample count diverged from the cycle count with {slots} slots"
         );
-        let recorder = recorder.take();
-        let spans = recorder.spans.expect("span builder attached").finish();
+        let observers = run.observers.expect("observers returned");
+        let spans = observers.spans.expect("span builder attached").finish();
         assert_eq!(
             spans.open(),
             0,
@@ -129,7 +129,7 @@ fn check_workload(name: &str) {
             name,
             sampler.samples(),
             &map,
-            recorder.timeline.as_ref().expect("timeline attached"),
+            observers.timeline.as_ref().expect("timeline attached"),
         );
         assert_eq!(
             stacks.total(),
@@ -138,8 +138,6 @@ fn check_workload(name: &str) {
         );
         // Attribution coverage: ≥ 99% of service-charged cycles must land in
         // a per-region row (the remainder is surfaced as untracked).
-        let mut telemetry = traced.telemetry(name);
-        telemetry.attribution = Some(recorder.attribution.finish(traced.cycles));
         let (attributed, charged, untracked) = telemetry.coverage();
         assert!(
             attributed * 100 >= charged * 99,
@@ -169,15 +167,10 @@ fn check_workload(name: &str) {
         );
         // Integrity accounting: the squasher emits per-region checksums, so
         // every miss verifies its region's payload — exactly once per miss,
-        // never on hits — and a well-formed image never needs the
-        // reference-decoder fallback.
+        // never on hits.
         assert_eq!(
             rt.regions_verified, rt.misses,
             "{name}: verification count diverged from misses with {slots} slots"
-        );
-        assert_eq!(
-            rt.ref_fallbacks, 0,
-            "{name}: clean image hit the reference-decoder fallback with {slots} slots"
         );
         // The simulated cycle count must equal the calibrated per-call /
         // per-bit / per-inst model exactly — decompression cost is charged

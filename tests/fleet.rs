@@ -236,7 +236,6 @@ fn shared_cache_refcounting_survives_contention() {
         Decoded {
             insts: vec![Inst::Pal { func: PalOp::Halt }; (region as usize % 3) + 1],
             bits: u64::from(region) * 977 + 13,
-            ref_fallback: false,
         }
     }
 

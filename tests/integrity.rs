@@ -2,24 +2,24 @@
 //!
 //! The contract under test (`DESIGN.md` §13):
 //!
-//! * An uncorrupted v3 image runs cycle-identical to the same program's v2
-//!   image **apart from** the explicitly modeled verification cost — the
-//!   cycle delta equals `checksum_cycles` exactly, and is visible in
-//!   telemetry.
-//! * Truncating either format at every structural boundary yields a typed
+//! * Verification is the only modeled cost integrity adds: a run's cycles
+//!   exceed the same image's run with a zero verification rate by exactly
+//!   `checksum_cycles`, which telemetry reports.
+//! * Truncating an image at every structural boundary yields a typed
 //!   machine-check fault with the right [`FaultKind`] — never a panic,
 //!   never an over-allocation (every pre-allocation is capped by the
 //!   declared file length).
-//! * Strict mode ([`image_file::read_strict`]) verifies the blob eagerly
-//!   and rejects checksum-free v2 images.
+//! * Strict mode ([`image_file::read_strict`]) verifies the blob eagerly;
+//!   every loader rejects the retired checksum-free `SQSH0002` by magic.
+//! * A region payload that is wrong but passes its checksum reaches the
+//!   decoder, which must fault typed rather than fall back or panic.
 
-use squash_repro::squash::{image_file, pipeline, FaultKind, SquashOptions, Squasher};
+use squash_repro::squash::pipeline::{self, RunConfig};
+use squash_repro::squash::{image_file, integrity, FaultKind, SquashOptions, Squasher};
 
 /// A small real workload squashed with enough cold code to exercise the
-/// decompressor, serialized in both formats.
-fn build_image(
-    cache_slots: usize,
-) -> (squash_repro::squash::layout::Squashed, Vec<u8>, Vec<u8>) {
+/// decompressor, and its serialized image.
+fn build_image(cache_slots: usize) -> (squash_repro::squash::layout::Squashed, Vec<u8>) {
     let workload = squash_repro::workloads::by_name("adpcm").expect("workload exists");
     let (program, _) = workload.squeezed();
     let profile = pipeline::profile(&program, &[workload.profiling_input()]).expect("profile");
@@ -28,81 +28,76 @@ fn build_image(
         .expect("setup")
         .finish()
         .expect("squash");
-    let v3 = image_file::write(&squashed);
-    let v2 = image_file::write_v2(&squashed);
-    (squashed, v3, v2)
+    let bytes = image_file::write(&squashed);
+    (squashed, bytes)
+}
+
+/// The adpcm timing input, truncated to keep debug-mode runs quick.
+fn timing_input() -> Vec<u8> {
+    let mut input = squash_repro::workloads::by_name("adpcm").unwrap().timing_input();
+    input.truncate(6_000);
+    input
 }
 
 #[test]
-fn v3_runs_cycle_identical_to_v2_modulo_modeled_verification_cost() {
-    let (_, v3_bytes, v2_bytes) = build_image(2);
-    let v3 = image_file::read(&v3_bytes).expect("v3 load");
-    let v2 = image_file::read(&v2_bytes).expect("v2 load");
-    assert!(!v3.runtime.region_crcs.is_empty(), "v3 carries integrity metadata");
-    assert!(v2.runtime.region_crcs.is_empty(), "v2 carries none");
+fn verification_cost_is_the_only_cycle_difference() {
+    let (_, bytes) = build_image(2);
+    let checked = image_file::read(&bytes).expect("load");
+    assert!(!checked.runtime.region_crcs.is_empty(), "the image carries integrity metadata");
+    let mut free = checked.clone();
+    free.runtime.cost.per_check_byte = 0;
 
-    let workload = squash_repro::workloads::by_name("adpcm").unwrap();
-    let mut input = workload.timing_input();
-    input.truncate(6_000);
-    let r3 = pipeline::run_squashed(&v3, &input).expect("v3 run");
-    let r2 = pipeline::run_squashed(&v2, &input).expect("v2 run");
+    let input = timing_input();
+    let r3 = pipeline::run_squashed(&checked, &input).expect("checked run");
+    let r0 = pipeline::run_squashed(&free, &input).expect("zero-rate run");
 
     // Observable behaviour is identical...
-    assert_eq!(r3.status, r2.status);
-    assert_eq!(r3.output, r2.output);
-    assert_eq!(r3.instructions, r2.instructions);
+    assert_eq!(r3.status, r0.status);
+    assert_eq!(r3.output, r0.output);
+    assert_eq!(r3.instructions, r0.instructions);
     // ...and the only cycle difference is the checksum charge, which the
     // telemetry reports per run.
     assert!(r3.runtime.regions_verified > 0, "the run must exercise verification");
     assert_eq!(r3.runtime.regions_verified, r3.runtime.misses);
-    assert_eq!(r2.runtime.regions_verified, 0);
-    assert_eq!(r2.runtime.checksum_cycles, 0);
+    assert_eq!(r0.runtime.regions_verified, r3.runtime.regions_verified);
+    assert_eq!(r0.runtime.checksum_cycles, 0);
+    assert!(r3.runtime.checksum_cycles > 0);
     assert_eq!(
         r3.cycles,
-        r2.cycles + r3.runtime.checksum_cycles,
+        r0.cycles + r3.runtime.checksum_cycles,
         "verification must be the only modeled cost difference"
     );
     // The telemetry document carries the counters.
-    let doc = r3.telemetry("adpcm-v3").to_json_string();
+    let doc = r3.telemetry("adpcm").to_json_string();
     assert!(doc.contains("\"regions_verified\""), "{doc}");
     assert!(doc.contains("\"checksum_cycles\""), "{doc}");
 }
 
 #[test]
 fn truncation_at_every_boundary_faults_with_the_right_kind() {
-    let (_, v3_bytes, v2_bytes) = build_image(1);
-    for bytes in [&v3_bytes, &v2_bytes] {
-        for cut in image_file::boundaries(bytes) {
-            if cut == bytes.len() {
-                continue;
-            }
-            let err = image_file::read(&bytes[..cut])
-                .expect_err("truncated image must not load");
-            let mc = err.fault.as_ref().expect("typed fault");
-            assert!(
-                matches!(mc.kind, FaultKind::Truncated | FaultKind::BadMagic),
-                "cut at {cut}: unexpected kind {:?} ({})",
-                mc.kind,
-                mc.detail
-            );
+    let (_, bytes) = build_image(1);
+    for cut in image_file::boundaries(&bytes) {
+        if cut == bytes.len() {
+            continue;
         }
+        let err = image_file::read(&bytes[..cut]).expect_err("truncated image must not load");
+        let mc = err.fault.as_ref().expect("typed fault");
+        assert!(
+            matches!(mc.kind, FaultKind::Truncated | FaultKind::BadMagic),
+            "cut at {cut}: unexpected kind {:?} ({})",
+            mc.kind,
+            mc.detail
+        );
     }
 }
 
 #[test]
 fn forged_section_length_cannot_drive_allocation_past_the_file() {
-    // A v2 image with the segment count forged to u32::MAX: the loader must
-    // fault on the implausible count, not allocate from it. (v3 forgeries
-    // are stopped earlier by the header checksum — also verified here.)
-    let (_, v3_bytes, v2_bytes) = build_image(1);
-    let mut forged = v2_bytes.clone();
-    forged[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-    let err = image_file::read(&forged).expect_err("forged count accepted");
-    assert_eq!(err.fault.as_ref().unwrap().kind, FaultKind::Truncated);
-
-    let mut forged = v3_bytes.clone();
     // Forge the first directory length (meta section) without fixing the
-    // header CRC: header damage must be the diagnosis.
+    // header CRC: header damage must be the diagnosis, before any length
+    // is trusted.
+    let (_, bytes) = build_image(1);
+    let mut forged = bytes.clone();
     forged[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
     let err = image_file::read(&forged).expect_err("forged directory accepted");
     assert_eq!(err.fault.as_ref().unwrap().kind, FaultKind::HeaderChecksum);
@@ -110,22 +105,61 @@ fn forged_section_length_cannot_drive_allocation_past_the_file() {
 
 #[test]
 fn strict_mode_verifies_blob_and_rejects_v2() {
-    let (_, v3_bytes, v2_bytes) = build_image(1);
-    image_file::read_strict(&v3_bytes).expect("clean v3 passes strict");
-    let err = image_file::read_strict(&v2_bytes).expect_err("v2 must fail strict");
-    assert_eq!(err.fault.as_ref().unwrap().kind, FaultKind::BadMagic);
+    let (_, bytes) = build_image(1);
+    image_file::read_strict(&bytes).expect("clean image passes strict");
+    let mut v2 = bytes.clone();
+    v2[..8].copy_from_slice(b"SQSH0002");
+    for load in [image_file::read, image_file::read_strict] {
+        let err = load(&v2).expect_err("SQSH0002 must not load");
+        assert_eq!(err.fault.as_ref().unwrap().kind, FaultKind::BadMagic);
+    }
+}
+
+/// Zero one region's payload, then reseal every region checksum, so the
+/// damage passes verification and reaches the decoder. Under a cycle
+/// deadline, each such run ends in a typed fault or runs byte- and
+/// cycle-identical to the clean image (the region never ran) — never a
+/// panic, and never a quiet fallback to another decoder.
+#[test]
+fn resealed_zeroed_region_faults_typed_or_runs_identically() {
+    let (squashed, _) = build_image(1);
+    let input = timing_input();
+    let clean = pipeline::run_squashed(&squashed, &input).expect("clean run");
+    let regions = squashed.runtime.bit_offsets.len();
+    let mut faulted = 0;
+    for region in 0..regions {
+        let mut image = squashed.clone();
+        let rt = &mut image.runtime;
+        let span = integrity::region_byte_span(&rt.bit_offsets, region, rt.blob.len());
+        rt.blob[span].fill(0);
+        rt.region_crcs = integrity::region_crcs(&rt.blob, &rt.bit_offsets);
+        let config = RunConfig { deadline: Some(clean.cycles * 4), ..RunConfig::default() };
+        match pipeline::run_squashed_with(&image, &input, config) {
+            Ok(run) => assert_eq!(
+                (run.result.status, &run.result.output, run.result.cycles),
+                (clean.status, &clean.output, clean.cycles),
+                "region {region}: zeroed payload ran silently divergent"
+            ),
+            Err(e) => {
+                let mc = e.fault.as_ref().unwrap_or_else(|| {
+                    panic!("region {region}: untyped failure: {}", e.message)
+                });
+                assert_ne!(mc.kind, FaultKind::RegionChecksum, "region {region}: not resealed");
+                faulted += 1;
+            }
+        }
+    }
+    assert!(faulted > 0, "no zeroed region out of {regions} was ever decoded");
 }
 
 #[test]
 fn corrupt_region_faults_at_trap_time_with_a_machine_check() {
-    let (squashed, v3_bytes, _) = build_image(1);
+    let (squashed, v3_bytes) = build_image(1);
     // Find the blob inside the file and flip a bit in the *hottest* region's
     // payload so the fault actually fires during the run.
     let loaded = image_file::read(&v3_bytes).expect("load");
     assert_eq!(loaded.runtime.blob, squashed.runtime.blob);
-    let workload = squash_repro::workloads::by_name("adpcm").unwrap();
-    let mut input = workload.timing_input();
-    input.truncate(6_000);
+    let input = timing_input();
     // Baseline run tells us which region decompresses first.
     let clean = pipeline::run_squashed(&loaded, &input).expect("clean run");
     assert!(clean.runtime.decompressions > 0);

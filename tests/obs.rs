@@ -3,8 +3,9 @@
 //! audit contract (`DESIGN.md` §16) on a real squashed program.
 
 use squash_repro::squash::monitor::{self, SlotTimeline, SpanBuilder};
-use squash_repro::squash::telemetry::{json, Recorder, SharedRecorder, Telemetry};
-use squash_repro::squash::{audit, pipeline, retune, SquashOptions, Squasher};
+use squash_repro::squash::pipeline::{self, RunConfig};
+use squash_repro::squash::telemetry::{json, Observers, Telemetry};
+use squash_repro::squash::{audit, retune, SquashOptions, Squasher};
 
 const PROGRAM: &str = r#"
 int rare(int x) { return (x * 37 + 11) % 101; }
@@ -42,24 +43,22 @@ fn squashed_program() -> (squash_repro::cfg::Program, squash_repro::squash::Bloc
 #[test]
 fn observed_run_produces_consistent_artifacts() {
     let (_, _, squashed) = squashed_program();
-    let recorder = SharedRecorder::new(Recorder {
-        spans: Some(SpanBuilder::new()),
-        timeline: Some(SlotTimeline::new()),
-        ..Recorder::default()
-    });
-    let (run, sampler) = pipeline::run_squashed_observed(
-        &squashed,
-        TIMING,
-        None,
-        Some(recorder.sink()),
-        Some(97),
-    )
-    .expect("observed run");
-    let recorder = recorder.take();
+    let config = RunConfig {
+        observers: Some(Observers {
+            spans: Some(SpanBuilder::new()),
+            timeline: Some(SlotTimeline::new()),
+            ..Observers::default()
+        }),
+        sample_every: Some(97),
+        ..RunConfig::default()
+    };
+    let run = pipeline::run_squashed_with(&squashed, TIMING, config).expect("observed run");
+    let telemetry = run.telemetry("obs");
+    let observers = run.observers.expect("observers returned");
 
     // Spans: every trap bracketed, and decompress/verify spans sit inside
     // their service span in time.
-    let spans = recorder.spans.expect("span builder").finish();
+    let spans = observers.spans.expect("span builder").finish();
     assert_eq!(spans.open(), 0, "a trap never found its terminal event");
     let rows = spans.spans();
     assert!(rows.iter().any(|(n, _, _)| n.starts_with("service/")), "{rows:?}");
@@ -85,10 +84,10 @@ fn observed_run_produces_consistent_artifacts() {
     // Samples: deterministic tick count, lossless collapse, and at least
     // one buffer-area stack resolved to a concrete region (θ = 1.0 means
     // the guest executes out of the buffer).
-    let sampler = sampler.expect("sampler");
-    assert_eq!(sampler.samples().len() as u64, run.cycles / 97);
+    let sampler = run.sampler.expect("sampler");
+    assert_eq!(sampler.samples().len() as u64, run.result.cycles / 97);
     let map = monitor::AreaMap::from_runtime(&squashed.runtime);
-    let timeline = recorder.timeline.expect("timeline");
+    let timeline = observers.timeline.expect("timeline");
     let stacks = monitor::collapse_samples("obs", sampler.samples(), &map, &timeline);
     assert_eq!(stacks.total(), sampler.samples().len() as u64);
     assert!(
@@ -100,8 +99,6 @@ fn observed_run_produces_consistent_artifacts() {
     // The registry mirror: histogram bucket counts must be cumulative and
     // end at _count (the exposition invariants the obs crate pins are
     // exercised here on real data).
-    let mut telemetry = run.telemetry("obs");
-    telemetry.attribution = Some(recorder.attribution.finish(run.cycles));
     let prom = monitor::registry(&telemetry).to_prometheus();
     assert!(prom.contains("# TYPE squash_trap_interarrival_cycles histogram"), "{prom}");
     let buckets: Vec<u64> = prom
@@ -128,11 +125,10 @@ fn audit_accepts_replay_and_rejects_skew() {
     let options = SquashOptions { theta: 1.0, ..Default::default() };
 
     // Measure the static image with attribution: the retuner's input.
-    let recorder = SharedRecorder::new(Recorder::attribution_only());
-    let run = pipeline::run_squashed_traced(&squashed, TIMING, None, Some(recorder.sink()))
-        .expect("static run");
-    let mut telemetry = run.telemetry("obs");
-    telemetry.attribution = Some(recorder.take().attribution.finish(run.cycles));
+    let config = RunConfig { observers: Some(Observers::default()), ..RunConfig::default() };
+    let telemetry = pipeline::run_squashed_with(&squashed, TIMING, config)
+        .expect("static run")
+        .telemetry("obs");
 
     let retuned = retune::retune(&program, &profile, &options, &telemetry).expect("retune");
     let provenance = retuned.squashed.provenance.as_ref();

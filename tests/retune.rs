@@ -14,8 +14,9 @@
 
 use squash_repro::squash::image_file;
 use squash_repro::squash::retune::retune;
-use squash_repro::squash::telemetry::{Recorder, SharedRecorder, Telemetry};
-use squash_repro::squash::{pipeline, BlockProfile, SquashOptions, Squasher};
+use squash_repro::squash::pipeline::{self, RunConfig};
+use squash_repro::squash::telemetry::Telemetry;
+use squash_repro::squash::{BlockProfile, SquashOptions, Squasher};
 use squash_repro::cfg::Program;
 
 /// Truncation bound for timing inputs (precedent: `tests/differential.rs`).
@@ -35,16 +36,8 @@ fn measure(
     input: &[u8],
     name: &str,
 ) -> Telemetry {
-    let recorder = SharedRecorder::new(Recorder {
-        ring: None,
-        attribution: Default::default(),
-        ..Recorder::default()
-    });
-    let run = pipeline::run_squashed_traced(squashed, input, None, Some(recorder.sink()))
-        .expect("static run");
-    let mut telemetry = run.telemetry(name);
-    telemetry.attribution = Some(recorder.take().attribution.finish(run.cycles));
-    telemetry
+    let config = RunConfig { observers: Some(Default::default()), ..RunConfig::default() };
+    pipeline::run_squashed_with(squashed, input, config).expect("static run").telemetry(name)
 }
 
 /// One full trip around the loop, with all invariants asserted.
