@@ -301,8 +301,21 @@ impl SquashRuntime {
         let slot = if let Some(&slot) = self.stubs.get(&key) {
             self.stats.stub_hits += 1;
             let count_addr = self.stub_addr(slot) + 8;
-            let count = vm.read_word(count_addr);
-            vm.write_bytes(count_addr, &(count + 1).to_le_bytes());
+            // The count lives in guest memory, so the guest can set it to
+            // anything: a full count is a typed fault, not an overflow.
+            let count = vm.read_word(count_addr).checked_add(1).ok_or_else(|| {
+                VmError::MachineCheck(MachineCheck {
+                    pc: Some(pc),
+                    cycle: Some(vm.cycles()),
+                    region: Some(region as u32),
+                    site: Some(site),
+                    ..MachineCheck::new(
+                        FaultKind::ServiceState,
+                        format!("restore-stub usage count at {count_addr:#010x} overflows"),
+                    )
+                })
+            })?;
+            vm.write_bytes(count_addr, &count.to_le_bytes());
             slot
         } else {
             self.stats.stub_allocs += 1;
@@ -603,8 +616,17 @@ impl Service for SquashRuntime {
         let kind = if is_restore { TrapKind::Restore } else { TrapKind::Entry };
         self.trace(vm, TraceEvent::ServiceTrap { kind, pc, ra: retaddr });
         // Entry stub or restore stub: the tag word sits at the return
-        // address.
-        let tag = vm.read_word(retaddr);
+        // address, which the guest controls and may point outside memory.
+        let tag = vm.try_read_word(retaddr).ok_or_else(|| {
+            VmError::MachineCheck(MachineCheck {
+                pc: Some(pc),
+                cycle: Some(vm.cycles()),
+                ..MachineCheck::new(
+                    FaultKind::StubTargetOutOfRange,
+                    format!("return address {retaddr:#010x} has no tag word in memory"),
+                )
+            })
+        })?;
         let region = (tag >> 16) as u16;
         let offset = tag & 0xFFFF;
         if is_restore {
@@ -1230,5 +1252,55 @@ mod tests {
                 other => panic!("untyped error {other:?} for ra {bad:#x}"),
             }
         }
+    }
+
+    /// An entry trap whose return address lies outside memory has no tag
+    /// word to read: a typed `StubTargetOutOfRange`, not a panic.
+    #[test]
+    fn trap_with_return_address_outside_memory_is_typed() {
+        let mut rt = SquashRuntime::new(cached_config(2, 1));
+        let mut vm = squash_vm::Vm::new(1 << 16);
+        let decomp_base = rt.cfg.decomp_base;
+        for bad in [0xFFFF_FFF0u32, 1 << 16, (1 << 16) - 2] {
+            vm.set_reg(Reg::T0, bad as i64);
+            vm.set_pc(decomp_base + 4 * Reg::T0.number() as u32);
+            match rt.invoke(&mut vm).unwrap_err() {
+                VmError::MachineCheck(mc) => {
+                    assert_eq!(mc.kind, FaultKind::StubTargetOutOfRange, "ra {bad:#x}");
+                    assert!(mc.pc.is_some() && mc.cycle.is_some());
+                }
+                other => panic!("untyped error {other:?} for ra {bad:#x}"),
+            }
+        }
+        assert_eq!(rt.stats.decompressions, 0);
+    }
+
+    /// The guest can write a restore stub's usage count; a `CreateStub` hit
+    /// on a count of `u32::MAX` is a typed `ServiceState` fault, and the
+    /// count is left as it was.
+    #[test]
+    fn full_usage_count_is_typed_not_an_overflow() {
+        let mut rt = SquashRuntime::new(cached_config(1, 1));
+        let mut vm = squash_vm::Vm::new(1 << 16);
+        let decomp_base = rt.cfg.decomp_base;
+        let buffer_base = rt.cfg.buffer_base;
+        rt.decompress_to(&mut vm, 0, 0).unwrap();
+        let create = |rt: &mut SquashRuntime, vm: &mut squash_vm::Vm| {
+            vm.set_reg(Reg::RA, buffer_base as i64);
+            vm.set_pc(decomp_base + 4 * Reg::RA.number() as u32);
+            rt.invoke(vm)
+        };
+        create(&mut rt, &mut vm).unwrap();
+        let count_addr = rt.stub_addr(0) + 8;
+        vm.write_bytes(count_addr, &u32::MAX.to_le_bytes());
+        match create(&mut rt, &mut vm).unwrap_err() {
+            VmError::MachineCheck(mc) => {
+                assert_eq!(mc.kind, FaultKind::ServiceState);
+                assert_eq!(mc.region, Some(0));
+                assert!(mc.detail.contains("overflows"), "{}", mc.detail);
+            }
+            other => panic!("untyped error {other:?}"),
+        }
+        assert_eq!(vm.read_word(count_addr), u32::MAX);
     }
 }
