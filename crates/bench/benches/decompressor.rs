@@ -97,5 +97,5 @@ fn main() {
         pipeline::run_original(&b.program, probe_input).unwrap()
     });
 
-    report::write("decompressor", &entries);
+    report::write_named("BENCH_PR2.json", "decompressor", &entries);
 }

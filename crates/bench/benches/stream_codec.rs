@@ -83,7 +83,8 @@ fn main() {
             .unwrap()
     });
 
-    report::write(
+    report::write_named(
+        "BENCH_PR2.json",
         "stream_codec",
         &[
             (

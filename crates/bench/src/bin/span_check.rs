@@ -13,7 +13,7 @@
 //! in the smoke job means the emitter silently stopped observing. This is
 //! the CI gate for the span format (`DESIGN.md` §16).
 
-use squash::telemetry::json::{self, Json};
+use squash_obs::json::{self, Json};
 use std::process::ExitCode;
 
 /// Checks one trace event, returning its phase on success.

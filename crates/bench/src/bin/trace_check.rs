@@ -11,7 +11,7 @@
 //! trace format: any schema drift in the emitter fails the smoke job rather
 //! than silently breaking downstream consumers.
 
-use squash::telemetry::json::{self, Json};
+use squash_obs::json::{self, Json};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 

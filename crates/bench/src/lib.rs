@@ -176,32 +176,23 @@ pub fn theta_label(theta: f64) -> String {
     }
 }
 
-/// Machine-readable bench output: `BENCH_PR2.json` at the repository root,
-/// a flat two-level map `{section: {metric: number}}` seeding the perf
-/// trajectory. Each bench binary merges its own section into the file, so
-/// running `stream_codec` and `decompressor` in either order produces one
-/// combined report. The format is deliberately tiny (std-only writer and
-/// reader for exactly this shape — no JSON dependency).
+/// Machine-readable bench output: the `BENCH_PR*.json` reports at the
+/// repository root, each a two-level map `{section: {metric: number}}`
+/// seeding the perf trajectory. Each bench binary merges its own section
+/// into its report, so running `stream_codec` and `decompressor` in either
+/// order produces one combined `BENCH_PR2.json`. Reports are read and
+/// written with the workspace's JSON codec ([`squash_obs::json`]), one line
+/// per file, and every finite value reads back exactly as it was written.
 pub mod report {
     use std::collections::BTreeMap;
     use std::fs;
-    use std::path::PathBuf;
+    use std::io::ErrorKind;
+    use std::path::{Path, PathBuf};
 
-    /// Where the report lives unless `BENCH_JSON` overrides it: the
+    use squash_obs::json::{self, Json};
+
+    /// Where report `name` lives unless `BENCH_JSON` overrides it: the
     /// workspace root, independent of the bench binary's working directory.
-    pub fn path() -> PathBuf {
-        match std::env::var_os("BENCH_JSON") {
-            Some(p) => PathBuf::from(p),
-            None => PathBuf::from(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_PR2.json"
-            )),
-        }
-    }
-
-    /// Like [`path`], but defaulting to `name` at the workspace root when
-    /// `BENCH_JSON` is not set — later PRs keep their rows in their own
-    /// report file next to `BENCH_PR2.json`.
     pub fn path_named(name: &str) -> PathBuf {
         match std::env::var_os("BENCH_JSON") {
             Some(p) => PathBuf::from(p),
@@ -218,132 +209,87 @@ pub mod report {
         std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0")
     }
 
-    /// Merges `entries` under `section` into the report file, preserving
-    /// every other section, and writes it back.
-    pub fn write(section: &str, entries: &[(String, f64)]) {
-        write_at(&path(), section, entries);
-    }
-
-    /// [`write`] into the report file located by [`path_named`].
+    /// Merges `entries` under `section` into the report file located by
+    /// [`path_named`], preserving every other section, and writes it back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an existing report cannot be read or does not parse (the
+    /// file is then left untouched), or if the report cannot be written.
     pub fn write_named(file: &str, section: &str, entries: &[(String, f64)]) {
-        write_at(&path_named(file), section, entries);
+        let p = path_named(file);
+        write_at(&p, section, entries)
+            .unwrap_or_else(|e| panic!("bench report {}: {e}", p.display()));
+        println!("wrote {}", p.display());
     }
 
-    fn write_at(p: &std::path::Path, section: &str, entries: &[(String, f64)]) {
-        let mut sections = fs::read_to_string(p)
-            .ok()
-            .and_then(|text| parse(&text))
-            .unwrap_or_default();
+    fn write_at(p: &Path, section: &str, entries: &[(String, f64)]) -> Result<(), String> {
+        let mut sections = read_at(p)?;
         let s = sections.entry(section.to_string()).or_default();
         for (k, v) in entries {
             s.insert(k.clone(), *v);
         }
-        let text = emit(&sections);
-        if let Err(e) = fs::write(p, text) {
-            eprintln!("warning: could not write {}: {e}", p.display());
-        } else {
-            println!("wrote {}", p.display());
-        }
+        fs::write(p, emit(&sections)).map_err(|e| e.to_string())
     }
 
     /// Reads one section back from the report located by [`path_named`];
-    /// empty when the file is missing, unparsable, or lacks the section.
+    /// empty when the file is missing or lacks the section.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the report exists but cannot be read or does not parse.
     pub fn read_named(file: &str, section: &str) -> BTreeMap<String, f64> {
-        fs::read_to_string(path_named(file))
-            .ok()
-            .and_then(|text| parse(&text))
-            .and_then(|mut s| s.remove(section))
-            .unwrap_or_default()
+        let p = path_named(file);
+        let mut sections =
+            read_at(&p).unwrap_or_else(|e| panic!("bench report {}: {e}", p.display()));
+        sections.remove(section).unwrap_or_default()
     }
 
     type Sections = BTreeMap<String, BTreeMap<String, f64>>;
 
-    fn emit(sections: &Sections) -> String {
-        let mut out = String::from("{\n");
-        for (si, (name, entries)) in sections.iter().enumerate() {
-            out.push_str(&format!("  {name:?}: {{\n"));
-            for (ei, (k, v)) in entries.iter().enumerate() {
-                let comma = if ei + 1 == entries.len() { "" } else { "," };
-                out.push_str(&format!("    {k:?}: {v}{comma}\n"));
-            }
-            let comma = if si + 1 == sections.len() { "" } else { "," };
-            out.push_str(&format!("  }}{comma}\n"));
+    /// The report at `p`; empty when no file exists there.
+    fn read_at(p: &Path) -> Result<Sections, String> {
+        match fs::read_to_string(p) {
+            Ok(text) => parse(&text),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(Sections::new()),
+            Err(e) => Err(e.to_string()),
         }
-        out.push_str("}\n");
-        out
     }
 
-    /// Parses the exact shape [`emit`] writes (plus arbitrary whitespace).
-    /// Returns `None` on anything unexpected — the caller then starts a
-    /// fresh report rather than corrupting a hand-edited file.
-    fn parse(text: &str) -> Option<Sections> {
-        let mut chars = text.chars().peekable();
-        fn skip_ws(c: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-            while c.peek().is_some_and(|ch| ch.is_whitespace()) {
-                c.next();
-            }
-        }
-        fn expect(c: &mut std::iter::Peekable<std::str::Chars<'_>>, ch: char) -> Option<()> {
-            skip_ws(c);
-            (c.next()? == ch).then_some(())
-        }
-        fn string(c: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-            expect(c, '"')?;
-            let mut s = String::new();
-            loop {
-                match c.next()? {
-                    '"' => return Some(s),
-                    '\\' => s.push(c.next()?),
-                    ch => s.push(ch),
-                }
-            }
-        }
-        fn number(c: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<f64> {
-            skip_ws(c);
-            let mut s = String::new();
-            while c
-                .peek()
-                .is_some_and(|ch| ch.is_ascii_digit() || "+-.eE".contains(*ch))
-            {
-                s.push(c.next().unwrap());
-            }
-            s.parse().ok()
-        }
-        let mut sections = Sections::new();
-        expect(&mut chars, '{')?;
-        skip_ws(&mut chars);
-        if chars.peek() == Some(&'}') {
-            return Some(sections);
-        }
-        loop {
-            let name = string(&mut chars)?;
-            expect(&mut chars, ':')?;
-            expect(&mut chars, '{')?;
-            let mut entries = BTreeMap::new();
-            skip_ws(&mut chars);
-            if chars.peek() == Some(&'}') {
-                chars.next();
-            } else {
-                loop {
-                    let k = string(&mut chars)?;
-                    expect(&mut chars, ':')?;
-                    entries.insert(k, number(&mut chars)?);
-                    skip_ws(&mut chars);
-                    match chars.next()? {
-                        ',' => continue,
-                        '}' => break,
-                        _ => return None,
-                    }
-                }
-            }
-            sections.insert(name, entries);
-            skip_ws(&mut chars);
-            match chars.next()? {
-                ',' => continue,
-                '}' => return Some(sections),
-                _ => return None,
-            }
-        }
+    fn emit(sections: &Sections) -> String {
+        let doc = Json::Obj(
+            sections
+                .iter()
+                .map(|(name, rows)| {
+                    let rows = rows.iter().map(|(k, &v)| (k.clone(), Json::Num(v))).collect();
+                    (name.clone(), Json::Obj(rows))
+                })
+                .collect(),
+        );
+        format!("{doc}\n")
+    }
+
+    /// Parses a report: an object of sections, each an object of numbers.
+    fn parse(text: &str) -> Result<Sections, String> {
+        let Json::Obj(sections) = json::parse(text)? else {
+            return Err("not an object of sections".to_string());
+        };
+        sections
+            .into_iter()
+            .map(|(name, rows)| {
+                let Json::Obj(rows) = rows else {
+                    return Err(format!("section {name:?} is not an object"));
+                };
+                let rows = rows
+                    .into_iter()
+                    .map(|(k, v)| match v.as_f64() {
+                        Some(n) => Ok((k, n)),
+                        None => Err(format!("{name}.{k} is not a number")),
+                    })
+                    .collect::<Result<_, String>>()?;
+                Ok((name, rows))
+            })
+            .collect()
     }
 
     #[cfg(test)]
@@ -361,22 +307,81 @@ pub mod report {
             );
             sections.insert(
                 "decompressor".into(),
-                [("adpcm.cycles".to_string(), 1.25e6)].into_iter().collect(),
+                [
+                    ("adpcm.cycles".to_string(), 1.25e6),
+                    ("sum".to_string(), 0.1 + 0.2),
+                    ("tiny".to_string(), 1e-7),
+                    ("huge_whole".to_string(), 12345678901234567.0),
+                    ("huge".to_string(), 1e300),
+                    ("negative".to_string(), -2.5),
+                ]
+                .into_iter()
+                .collect(),
             );
             let text = emit(&sections);
-            assert_eq!(parse(&text), Some(sections));
+            assert_eq!(text.lines().count(), 1, "{text}");
+            assert_eq!(parse(&text), Ok(sections), "values read back exactly");
         }
 
         #[test]
         fn parse_rejects_garbage() {
-            assert_eq!(parse("not json"), None);
-            assert_eq!(parse(""), None);
-            assert_eq!(parse("{\"a\": 3}"), None, "flat maps are not sections");
+            assert!(parse("not json").is_err());
+            assert!(parse("").is_err());
+            assert!(parse("{\"a\": 3}").is_err(), "flat maps are not sections");
+            assert!(parse("{\"a\": {\"k\": \"v\"}}").is_err(), "values are numbers");
         }
 
         #[test]
         fn empty_object_parses() {
-            assert_eq!(parse("{}"), Some(Sections::new()));
+            assert_eq!(parse("{}"), Ok(Sections::new()));
+        }
+
+        #[test]
+        fn write_merges_sections_and_leaves_an_unreadable_report_untouched() {
+            let p = std::env::temp_dir().join(format!("squash-bench-{}.json", std::process::id()));
+            let _ = fs::remove_file(&p);
+            write_at(&p, "a", &[("x".to_string(), 1.5)]).expect("fresh report");
+            write_at(&p, "b", &[("y".to_string(), 2.0)]).expect("second section");
+            let sections = read_at(&p).expect("reads back");
+            assert_eq!(sections["a"]["x"], 1.5);
+            assert_eq!(sections["b"]["y"], 2.0);
+
+            let garbage = "{\"a\": {\"x\": 1.5}, oops";
+            fs::write(&p, garbage).expect("write garbage");
+            let err = write_at(&p, "b", &[("y".to_string(), 3.0)]).unwrap_err();
+            assert!(err.contains("at byte"), "{err}");
+            assert_eq!(fs::read_to_string(&p).expect("still there"), garbage, "file untouched");
+            let _ = fs::remove_file(&p);
+        }
+
+        /// The committed reports read through this module with every row
+        /// and exact values, so a parser change cannot silently reset them.
+        #[test]
+        fn committed_reports_read_back_exactly() {
+            let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+            let read = |name: &str| read_at(&root.join(name)).expect(name);
+            let rows = |s: &Sections| s.values().map(BTreeMap::len).sum::<usize>();
+
+            let decode = read("BENCH_PR2.json");
+            assert_eq!((decode.len(), rows(&decode)), (2, 36));
+            assert_eq!(decode["stream_codec"]["decode_speedup"], 2.252452963065181);
+            assert_eq!(decode["decompressor"]["adpcm.host_ns_per_inst"], 18.977635782747605);
+            assert_eq!(decode["decompressor"]["rasta.simulated_cycles"], 12106188.0);
+
+            let emit_report = read("BENCH_PR3.json");
+            assert_eq!((emit_report.len(), rows(&emit_report)), (1, 33));
+            let throughput = &emit_report["compression_throughput"];
+            assert_eq!(throughput["adpcm.emit_ms_jobs1"], 3.0083990000000003);
+            assert_eq!(throughput["rasta.emit_ms_seed"], 5.7778480000000005);
+
+            let cache = read("BENCH_PR4.json");
+            assert_eq!((cache.len(), rows(&cache)), (1, 84));
+            assert_eq!(cache["cache_sweep"]["rasta_cycles_n8"], 62154130.0);
+            assert_eq!(cache["cache_sweep"]["adpcm_hits_n8"], 102.0);
+
+            for report in [decode, emit_report, cache] {
+                assert_eq!(parse(&emit(&report)), Ok(report));
+            }
         }
     }
 }

@@ -1103,7 +1103,7 @@ mod tests {
 
         // Event order: misses bracket DecompressStart/ICacheFlush/End, hits
         // emit CacheHit.
-        use crate::telemetry::json::{self, Json};
+        use squash_obs::json::{self, Json};
         let ring = observers.and_then(|o| o.ring).expect("ring returned");
         let events: Vec<Json> = ring.lines().map(|l| json::parse(l).unwrap()).collect();
         let stamps: Vec<u64> = events.iter().filter_map(|e| e.get("cycle")?.as_u64()).collect();

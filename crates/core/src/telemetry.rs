@@ -24,12 +24,14 @@
 //! the event stream, and simulated cycles are byte-for-byte identical with
 //! and without a sink attached (asserted by `tests/differential.rs`).
 //!
-//! No external JSON crate exists in this workspace, so [`json`] provides the
-//! tiny value type, emitter and parser the schema needs — the same
-//! hand-rolled approach `squash_bench::report` already uses.
+//! The schema is encoded and parsed with the workspace's one JSON codec,
+//! [`squash_obs::json`]: [`Telemetry::to_json`] builds a [`Json`] value and
+//! [`Telemetry::from_json`] reads one back. The codec saturates counters at
+//! `i64::MAX`, so a merged document whose sums saturated still reads back.
 
 use std::collections::BTreeMap;
 
+use squash_obs::json::{int, obj, Json};
 use squash_vm::{ICacheStats, JsonlRing, TraceEvent, TraceSink, TrapKind};
 
 use crate::runtime::RuntimeStats;
@@ -45,346 +47,6 @@ use crate::stages::StageStats;
 /// ([`Telemetry::merge`], the `"docs"` document count). Version-1 documents
 /// still parse.
 pub const SCHEMA_VERSION: u32 = 2;
-
-pub mod json {
-    //! A minimal JSON value: emit, parse, and accessors.
-    //!
-    //! Integers are kept exact ([`Json::Int`], `i64`) rather than routed
-    //! through `f64`, so 64-bit cycle counters round-trip byte-for-byte.
-
-    use std::fmt;
-
-    /// One JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// An integer (emitted without a decimal point).
-        Int(i64),
-        /// A non-integer number.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object; insertion order is preserved on emission.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// Object field lookup (`None` for non-objects and missing keys).
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(fields) => {
-                    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-                }
-                _ => None,
-            }
-        }
-
-        /// The value as an `i64`, if it is an integer.
-        pub fn as_i64(&self) -> Option<i64> {
-            match *self {
-                Json::Int(n) => Some(n),
-                _ => None,
-            }
-        }
-
-        /// The value as a `u64`, if it is a non-negative integer.
-        pub fn as_u64(&self) -> Option<u64> {
-            self.as_i64().and_then(|n| u64::try_from(n).ok())
-        }
-
-        /// The value as an `f64` (integers widen).
-        pub fn as_f64(&self) -> Option<f64> {
-            match *self {
-                Json::Int(n) => Some(n as f64),
-                Json::Num(n) => Some(n),
-                _ => None,
-            }
-        }
-
-        /// The value as a string slice.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The value as an array slice.
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// Whether the value is `null`.
-        pub fn is_null(&self) -> bool {
-            matches!(self, Json::Null)
-        }
-    }
-
-    impl fmt::Display for Json {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                Json::Null => f.write_str("null"),
-                Json::Bool(b) => write!(f, "{b}"),
-                Json::Int(n) => write!(f, "{n}"),
-                Json::Num(n) if n.is_finite() => {
-                    // Keep a syntactic marker so the parser reads it back as
-                    // Num, preserving the Int/Num distinction.
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        write!(f, "{n:.1}")
-                    } else {
-                        write!(f, "{n}")
-                    }
-                }
-                Json::Num(_) => f.write_str("null"), // NaN/inf have no JSON form
-                Json::Str(s) => {
-                    f.write_str("\"")?;
-                    for c in s.chars() {
-                        match c {
-                            '"' => f.write_str("\\\"")?,
-                            '\\' => f.write_str("\\\\")?,
-                            '\n' => f.write_str("\\n")?,
-                            '\t' => f.write_str("\\t")?,
-                            '\r' => f.write_str("\\r")?,
-                            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                            c => write!(f, "{c}")?,
-                        }
-                    }
-                    f.write_str("\"")
-                }
-                Json::Arr(items) => {
-                    f.write_str("[")?;
-                    for (i, v) in items.iter().enumerate() {
-                        if i > 0 {
-                            f.write_str(",")?;
-                        }
-                        write!(f, "{v}")?;
-                    }
-                    f.write_str("]")
-                }
-                Json::Obj(fields) => {
-                    f.write_str("{")?;
-                    for (i, (k, v)) in fields.iter().enumerate() {
-                        if i > 0 {
-                            f.write_str(",")?;
-                        }
-                        write!(f, "{}:{v}", Json::Str(k.clone()))?;
-                    }
-                    f.write_str("}")
-                }
-            }
-        }
-    }
-
-    /// Parses one JSON document (trailing whitespace allowed, nothing else).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the byte offset of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.b
-                .get(self.i)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".into())
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek()? == c {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", c as char, self.i))
-            }
-        }
-
-        fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at byte {}", self.i))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek()? {
-                b'n' => self.lit("null", Json::Null),
-                b't' => self.lit("true", Json::Bool(true)),
-                b'f' => self.lit("false", Json::Bool(false)),
-                b'"' => self.string().map(Json::Str),
-                b'[' => {
-                    self.i += 1;
-                    let mut items = Vec::new();
-                    if self.peek()? == b']' {
-                        self.i += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    loop {
-                        items.push(self.value()?);
-                        match self.peek()? {
-                            b',' => self.i += 1,
-                            b']' => {
-                                self.i += 1;
-                                return Ok(Json::Arr(items));
-                            }
-                            _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-                        }
-                    }
-                }
-                b'{' => {
-                    self.i += 1;
-                    let mut fields = Vec::new();
-                    if self.peek()? == b'}' {
-                        self.i += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    loop {
-                        self.peek()?;
-                        let key = self.string()?;
-                        self.expect(b':')?;
-                        fields.push((key, self.value()?));
-                        match self.peek()? {
-                            b',' => self.i += 1,
-                            b'}' => {
-                                self.i += 1;
-                                return Ok(Json::Obj(fields));
-                            }
-                            _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-                        }
-                    }
-                }
-                b'-' | b'0'..=b'9' => self.number(),
-                c => Err(format!("unexpected '{}' at byte {}", c as char, self.i)),
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut s = String::new();
-            loop {
-                let c = *self
-                    .b
-                    .get(self.i)
-                    .ok_or("unterminated string")?;
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(s),
-                    b'\\' => {
-                        let e = *self.b.get(self.i).ok_or("unterminated escape")?;
-                        self.i += 1;
-                        match e {
-                            b'"' => s.push('"'),
-                            b'\\' => s.push('\\'),
-                            b'/' => s.push('/'),
-                            b'n' => s.push('\n'),
-                            b't' => s.push('\t'),
-                            b'r' => s.push('\r'),
-                            b'u' => {
-                                let hex = self
-                                    .b
-                                    .get(self.i..self.i + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                self.i += 4;
-                                s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.i)),
-                        }
-                    }
-                    c => {
-                        // Re-assemble multi-byte UTF-8 sequences.
-                        let start = self.i - 1;
-                        let len = match c {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            0xF0..=0xF7 => 4,
-                            _ => 1,
-                        };
-                        self.i = start + len;
-                        let chunk = self
-                            .b
-                            .get(start..self.i)
-                            .and_then(|b| std::str::from_utf8(b).ok())
-                            .ok_or("invalid UTF-8 in string")?;
-                        s.push_str(chunk);
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.i;
-            if self.b[self.i] == b'-' {
-                self.i += 1;
-            }
-            let mut float = false;
-            while let Some(&c) = self.b.get(self.i) {
-                match c {
-                    b'0'..=b'9' => self.i += 1,
-                    b'.' | b'e' | b'E' | b'+' | b'-' => {
-                        float = true;
-                        self.i += 1;
-                    }
-                    _ => break,
-                }
-            }
-            let text = std::str::from_utf8(&self.b[start..self.i])
-                .expect("number scanner only accepts ASCII bytes");
-            if !float {
-                if let Ok(n) = text.parse::<i64>() {
-                    return Ok(Json::Int(n));
-                }
-            }
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number at byte {start}"))
-        }
-    }
-
-    /// Shorthand for building an object.
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Shorthand for an integer value from any unsigned counter.
-    pub fn int(n: u64) -> Json {
-        Json::Int(n as i64)
-    }
-}
-
-use json::{int, obj, Json};
 
 /// Checked narrowing for integers parsed out of untrusted JSON documents: a
 /// value that does not fit the target counter type is a typed parse error,
@@ -1377,34 +1039,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_round_trips_values() {
-        let v = obj(vec![
-            ("a", Json::Int(-3)),
-            ("big", Json::Int(i64::MAX)),
-            ("f", Json::Num(1.5)),
-            ("whole", Json::Num(2.0)),
-            ("s", Json::Str("he said \"hi\"\n\ttab".into())),
-            ("arr", Json::Arr(vec![Json::Null, Json::Bool(true), Json::Int(0)])),
-            ("empty", Json::Arr(vec![])),
-            ("nested", obj(vec![("x", Json::Int(1))])),
-        ]);
-        let text = v.to_string();
-        let back = json::parse(&text).expect("parse");
-        assert_eq!(back, v, "document: {text}");
-        // Int/Num distinction survives: whole-valued floats stay Num.
-        assert_eq!(back.get("whole"), Some(&Json::Num(2.0)));
-        assert_eq!(back.get("big").and_then(Json::as_i64), Some(i64::MAX));
-    }
-
-    #[test]
-    fn json_parse_rejects_garbage() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "truu", "1 2", "\"unterminated"] {
-            assert!(json::parse(bad).is_err(), "{bad:?} should fail");
-        }
-        assert!(json::parse(" {\"k\": [1, 2.5, null]} ").is_ok());
-    }
+    use squash_obs::json;
 
     #[test]
     fn bucket_bounds() {
@@ -1514,6 +1149,11 @@ mod tests {
             500,
             &TraceEvent::DecompressEnd { region: 1, bits: 80, insts: 9, slot: 0, evicted: None },
         );
+        attribution.emit(
+            520,
+            &TraceEvent::ServiceTrap { kind: TrapKind::CreateStub, pc: 0x8010, ra: 0 },
+        );
+        attribution.emit(530, &TraceEvent::StubCreate { site: (1 << 16) | 4, live: 1 });
         let t = Telemetry {
             name: "adpcm".into(),
             run: Some(RunMetrics {
@@ -1536,26 +1176,37 @@ mod tests {
                 FaultCount { kind: "region_checksum".into(), count: 2 },
                 FaultCount { kind: "truncated_stream".into(), count: 1 },
             ],
-            docs: 0,
-            trace_drops: 0,
-            sampler_drops: 0,
+            docs: 3,
+            trace_drops: 4,
+            sampler_drops: 5,
         };
         let text = t.to_json_string();
         let back = Telemetry::from_json(&json::parse(&text).expect("parse")).expect("from_json");
         assert_eq!(back, t, "document: {text}");
-        // Spot-check stable schema keys.
-        for key in [
-            "\"schema\":2",
-            "\"cycles_charged\":12345",
-            "\"miss_ratio\":0.1",
-            "\"wall_ns\":1500000",
-            "\"attributed_cycles\":490",
-            "\"regions_verified\"",
-            "\"checksum_cycles\"",
-            "\"kind\":\"region_checksum\"",
-        ] {
-            assert!(text.contains(key), "missing {key} in {text}");
-        }
+        // The whole document, every section, pinned byte for byte.
+        assert_eq!(
+            text,
+            "{\"schema\":2,\"name\":\"adpcm\",\"docs\":3,\"trace_drops\":4,\"sampler_drops\":5,\
+             \"run\":{\"status\":0,\"instructions\":1000000,\"cycles\":1234567,\
+             \"output_bytes\":42},\
+             \"runtime\":{\"decompressions\":7,\"skipped\":0,\"stub_hits\":0,\"stub_allocs\":0,\
+             \"restores\":0,\"max_live_stubs\":0,\"bits_read\":0,\"insts_written\":0,\
+             \"cycles_charged\":12345,\"hits\":3,\"misses\":7,\"evictions\":0,\
+             \"regions_verified\":7,\"checksum_cycles\":640},\
+             \"icache\":{\"hits\":900,\"misses\":100,\"flushes\":7,\"miss_ratio\":0.1},\
+             \"stages\":[{\"name\":\"encode\",\"wall_ns\":1500000,\"items\":12,\
+             \"output_bytes\":4096,\"note\":\"regions / blob bytes\"}],\
+             \"faults\":[{\"kind\":\"region_checksum\",\"count\":2},\
+             {\"kind\":\"truncated_stream\",\"count\":1}],\
+             \"attribution\":{\"regions\":[{\"region\":1,\"decompressions\":1,\"hits\":0,\
+             \"evictions\":0,\"decomp_cycles\":490,\"hit_cycles\":0,\"stub_cycles\":10,\
+             \"residency_cycles\":100,\"residency_intervals\":1}],\
+             \"sites\":[{\"site\":65540,\"creates\":1,\"reuses\":0,\"frees\":0,\"cycles\":10}],\
+             \"trap_interarrival\":[0,0,0,0,0,0,0,0,0,1],\
+             \"traps\":{\"create_stub\":1,\"entry\":1,\"restore\":0},\
+             \"attributed_cycles\":500,\"end_cycle\":600},\
+             \"coverage\":{\"attributed_cycles\":500,\"untracked_cycles\":11845}}"
+        );
     }
 
     #[test]
@@ -1712,6 +1363,17 @@ mod tests {
         // Merging a merged document preserves the evidence count.
         let again = Telemetry::merge(&[ab_c, mk("d", 10, 0, 0)]);
         assert_eq!(again.docs, 4);
+        // Sums past i64::MAX are written saturated there, so the merged
+        // document still reads back (and re-encodes to the same bytes).
+        let big = mk("big", i64::MAX as u64, 2, 0);
+        let saturated = Telemetry::merge(&[big.clone(), big]);
+        assert_eq!(saturated.run.unwrap().cycles, u64::MAX - 1);
+        let text = saturated.to_json_string();
+        assert!(text.contains(&format!("\"cycles\":{}", i64::MAX)), "{text}");
+        let back = Telemetry::from_json(&json::parse(&text).unwrap()).expect("reads back");
+        assert_eq!(back.run.unwrap().cycles, i64::MAX as u64);
+        assert_eq!(back.attribution.as_ref().unwrap().regions[0].decomp_cycles, i64::MAX as u64);
+        assert_eq!(back.to_json_string(), text);
     }
 
     #[test]
@@ -1751,6 +1413,8 @@ mod tests {
         assert_eq!(round.sampler_drops, 5);
         let merged = Telemetry::merge(&[some.clone(), some, Telemetry { sampler_drops: u64::MAX, ..Telemetry::default() }]);
         assert_eq!(merged.sampler_drops, u64::MAX, "merge saturates, never wraps");
+        let round = Telemetry::from_json(&json::parse(&merged.to_json_string()).unwrap()).unwrap();
+        assert_eq!(round.sampler_drops, i64::MAX as u64, "written saturated, read back nonzero");
         assert!(merged.report().contains("sampler dropped"), "{}", merged.report());
         assert!(!zero.report().contains("sampler dropped"), "zero drops must stay quiet");
     }

@@ -9,10 +9,14 @@
 //!   cycles for runtime services), rendered as Chrome trace-event JSON that
 //!   opens directly in Perfetto or `chrome://tracing`;
 //! * [`metrics::Registry`] — counters, gauges and fixed-bucket histograms
-//!   keyed by sorted label sets, with Prometheus text-exposition and JSON
-//!   encoders;
+//!   keyed by sorted label sets, with a Prometheus text-exposition encoder;
 //! * [`stacks::Stacks`] — aggregated call-stack samples in the collapsed
 //!   (folded) format every flamegraph renderer consumes.
+//!
+//! Under them sits [`json`], the workspace's one JSON codec (value type,
+//! emitter and depth-capped parser): the span encoder writes through it, and
+//! so do the telemetry document (`squash::telemetry`) and the bench
+//! reports. [`json_escape`] is its string escaper.
 //!
 //! Nothing in this crate observes anything by itself: producers (the VM's
 //! cycle sampler, the runtime decompressor's trace events, the staged
@@ -24,6 +28,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+pub mod json;
 pub mod metrics;
 pub mod span;
 pub mod stacks;

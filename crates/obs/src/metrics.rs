@@ -1,16 +1,14 @@
-//! A metrics registry: counters, gauges and fixed-bucket histograms with
-//! Prometheus text-exposition and JSON encoders.
+//! A metrics registry: counters, gauges and fixed-bucket histograms with a
+//! Prometheus text-exposition encoder.
 //!
 //! Metrics are keyed `(family name, sorted label set)` in `BTreeMap`s, so
-//! both encoders emit deterministic output — the property every downstream
+//! the encoder emits deterministic output — the property every downstream
 //! diff, golden test and merge depends on. The registry is a passive value:
 //! producers mirror their counters in (`squash::monitor::registry` builds
-//! one from a telemetry document), encoders read it out.
+//! one from a telemetry document), the encoder reads it out.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-use crate::json_escape;
 
 /// What a metric family measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,63 +259,6 @@ impl Registry {
         }
         out
     }
-
-    /// Renders the registry as one JSON document (families sorted by name,
-    /// samples by label set).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, (name, f)) in self.families.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"help\":\"{}\",\"samples\":[",
-                json_escape(name),
-                f.kind.name(),
-                json_escape(&f.help)
-            );
-            for (j, (labels, value)) in f.samples.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"labels\":{");
-                for (k, (lk, lv)) in labels.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":\"{}\"", json_escape(lk), json_escape(lv));
-                }
-                out.push_str("},");
-                match value {
-                    Value::Counter(c) => {
-                        let _ = write!(out, "\"value\":{c}");
-                    }
-                    Value::Gauge(g) => {
-                        let _ = write!(out, "\"value\":{g}");
-                    }
-                    Value::Histogram(h) => {
-                        let _ = write!(out, "\"sum\":{},\"count\":{},\"buckets\":[", h.sum(), h.count());
-                        for (k, &c) in h.counts().iter().enumerate() {
-                            if k > 0 {
-                                out.push(',');
-                            }
-                            let le = match h.bounds().get(k) {
-                                Some(b) => format!("{b}"),
-                                None => "+Inf".to_string(),
-                            };
-                            let _ = write!(out, "{{\"le\":\"{le}\",\"count\":{c}}}");
-                        }
-                        out.push(']');
-                    }
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Prometheus label-value escaping: backslash, double-quote and newline.
@@ -378,7 +319,6 @@ mod tests {
     fn empty_registry_renders_empty_exposition() {
         let r = Registry::new();
         assert_eq!(r.to_prometheus(), "");
-        assert_eq!(r.to_json(), "{\"metrics\":[]}");
         assert!(r.is_empty());
     }
 
@@ -461,21 +401,5 @@ mod tests {
         let mut r = Registry::new();
         r.add_counter("m", "", &[], 1);
         r.set_gauge("m", "", &[], 1.0);
-    }
-
-    #[test]
-    fn json_encoding_includes_histograms() {
-        let mut r = Registry::new();
-        r.set_histogram(
-            "h",
-            "dist",
-            &[("region", "3")],
-            Histogram::from_parts(&[2.0], vec![1, 0], 1.0),
-        );
-        let json = r.to_json();
-        assert!(json.contains("\"name\":\"h\""), "{json}");
-        assert!(json.contains("\"labels\":{\"region\":\"3\"}"), "{json}");
-        assert!(json.contains("{\"le\":\"2\",\"count\":1}"), "{json}");
-        assert!(json.contains("{\"le\":\"+Inf\",\"count\":0}"), "{json}");
     }
 }

@@ -13,7 +13,7 @@
 //! is recorded in `otherData.clock` so a human reading the file knows which
 //! domain they are looking at.
 
-use crate::json_escape;
+use crate::json::{int, obj, Json};
 
 /// Handle to a span opened with [`SpanLog::begin`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,55 +129,48 @@ impl SpanLog {
 
     /// Renders the log as a Chrome trace-event JSON document. Spans left
     /// open (a faulted run) are closed at the highest stamp seen, so the
-    /// file is always loadable.
+    /// file is always loadable. Events are encoded one at a time, so a long
+    /// run's log is never copied into one value tree.
     pub fn to_chrome_json(&self) -> String {
         use std::fmt::Write as _;
+        let text = |s: &str| Json::Str(s.to_string());
         let mut out = String::from("{\"traceEvents\":[");
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            match e {
+            let event = match e {
                 Entry::Span(s) => {
                     let dur = s.dur.unwrap_or(self.high.saturating_sub(s.ts));
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                         \"pid\":1,\"tid\":1",
-                        json_escape(&s.name),
-                        s.cat,
-                        s.ts,
-                        dur
-                    );
+                    let mut fields = vec![
+                        ("name", text(&s.name)),
+                        ("cat", text(s.cat)),
+                        ("ph", text("X")),
+                        ("ts", int(s.ts)),
+                        ("dur", int(dur)),
+                        ("pid", Json::Int(1)),
+                        ("tid", Json::Int(1)),
+                    ];
                     if !s.args.is_empty() {
-                        out.push_str(",\"args\":{");
-                        for (j, (k, v)) in s.args.iter().enumerate() {
-                            if j > 0 {
-                                out.push(',');
-                            }
-                            let _ = write!(out, "\"{k}\":{v}");
-                        }
-                        out.push('}');
+                        let args = s.args.iter().map(|&(k, v)| (k, int(v))).collect();
+                        fields.push(("args", obj(args)));
                     }
-                    out.push('}');
+                    obj(fields)
                 }
-                Entry::Instant { name, cat, ts } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"ts\":{},\"s\":\"t\",\
-                         \"pid\":1,\"tid\":1}}",
-                        json_escape(name),
-                        cat,
-                        ts
-                    );
-                }
-            }
+                Entry::Instant { name, cat, ts } => obj(vec![
+                    ("name", text(name)),
+                    ("cat", text(cat)),
+                    ("ph", text("i")),
+                    ("ts", int(*ts)),
+                    ("s", text("t")),
+                    ("pid", Json::Int(1)),
+                    ("tid", Json::Int(1)),
+                ]),
+            };
+            let _ = write!(out, "{event}");
         }
-        let _ = write!(
-            out,
-            "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"clock\":\"{}\"}}}}",
-            self.clock
-        );
+        let other = obj(vec![("clock", text(self.clock))]);
+        let _ = write!(out, "],\"displayTimeUnit\":\"ms\",\"otherData\":{other}}}");
         out
     }
 }
@@ -192,18 +185,23 @@ mod tests {
         let outer = log.begin("service/entry", "service", 100);
         let inner = log.begin("decompress/r3", "decompress", 100);
         log.arg(inner, "bits", 999);
+        log.arg(inner, "insts", 12);
         log.end(inner, 150);
         log.end(outer, 150);
-        log.instant("icache_flush", "runtime", 150);
+        log.instant("odd \"flush\"\\", "runtime", 150);
         assert_eq!(log.len(), 3);
         assert_eq!(log.open(), 0);
-        let json = log.to_chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["), "{json}");
-        assert!(json.contains("\"name\":\"service/entry\""), "{json}");
-        assert!(json.contains("\"ph\":\"X\",\"ts\":100,\"dur\":50"), "{json}");
-        assert!(json.contains("\"args\":{\"bits\":999}"), "{json}");
-        assert!(json.contains("\"ph\":\"i\",\"ts\":150"), "{json}");
-        assert!(json.contains("\"clock\":\"cycles\""), "{json}");
+        assert_eq!(
+            log.to_chrome_json(),
+            "{\"traceEvents\":[\
+             {\"name\":\"service/entry\",\"cat\":\"service\",\"ph\":\"X\",\"ts\":100,\"dur\":50,\
+             \"pid\":1,\"tid\":1},\
+             {\"name\":\"decompress/r3\",\"cat\":\"decompress\",\"ph\":\"X\",\"ts\":100,\"dur\":50,\
+             \"pid\":1,\"tid\":1,\"args\":{\"bits\":999,\"insts\":12}},\
+             {\"name\":\"odd \\\"flush\\\"\\\\\",\"cat\":\"runtime\",\"ph\":\"i\",\"ts\":150,\
+             \"s\":\"t\",\"pid\":1,\"tid\":1}],\
+             \"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"cycles\"}}"
+        );
     }
 
     #[test]

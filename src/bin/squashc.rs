@@ -360,7 +360,8 @@ fn retune_image(
     profile: &squash_repro::squash::BlockProfile,
     options: &SquashOptions,
 ) -> Result<squash_repro::squash::layout::Squashed, String> {
-    use squash_repro::squash::telemetry::{json, Telemetry};
+    use squash_repro::obs::json;
+    use squash_repro::squash::telemetry::Telemetry;
     let q = args.quiet();
     let mut docs = Vec::with_capacity(args.retune.len());
     for path in &args.retune {

@@ -31,7 +31,8 @@
 //! * 3 — `--audit` found drift above the threshold.
 
 use squash_repro::squash::audit::{self, DriftRow, DEFAULT_DRIFT_THRESHOLD};
-use squash_repro::squash::telemetry::{json, Telemetry};
+use squash_repro::obs::json;
+use squash_repro::squash::telemetry::Telemetry;
 use squash_repro::squash::{image_file, monitor};
 use std::process::ExitCode;
 

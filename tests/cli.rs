@@ -312,6 +312,18 @@ fn squashc_retune_rejects_bad_inputs() {
     assert!(!out.status.success());
     assert_eq!(out.status.code(), Some(1));
 
+    // Hostile nesting is a one-line parse error, not a stack overflow.
+    let deep = dir.join("retune-deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_squashc"))
+        .args([src.to_str().unwrap(), "--retune", deep.to_str().unwrap()])
+        .output()
+        .expect("squashc runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("nesting deeper than 128 at byte 128"), "{err}");
+
     // Non-finite θ dies at argument parsing.
     for bad in ["nan", "inf", "-inf"] {
         let out = Command::new(env!("CARGO_BIN_EXE_squashc"))
@@ -689,6 +701,41 @@ fn squashmon_merges_renders_and_audits() {
         .expect("squashmon audits static");
     assert_eq!(out.status.code(), Some(1), "unauditable input must exit 1");
     assert!(String::from_utf8_lossy(&out.stderr).contains("no provenance"));
+
+    // Hostile nesting is a one-line parse error (exit 1), not a stack
+    // overflow.
+    let deep = dir.join("mon-deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_squashmon"))
+        .arg(deep.to_str().unwrap())
+        .output()
+        .expect("squashmon runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("nesting deeper than 128 at byte 128"), "{err}");
+
+    // Counters that sum past i64::MAX merge to a saturated document that
+    // squashmon reads back, instead of a negative count it rejects.
+    let text = std::fs::read_to_string(&tel_a).unwrap();
+    let (head, tail) = text.split_once("\"cycles\":").unwrap();
+    let digits = tail.chars().take_while(char::is_ascii_digit).count();
+    let big = dir.join("mon-big.json");
+    std::fs::write(&big, format!("{head}\"cycles\":{}{}", i64::MAX, &tail[digits..])).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_squashmon"))
+        .args(["--merge", big.to_str().unwrap(), big.to_str().unwrap()])
+        .output()
+        .expect("squashmon merges");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let merged = String::from_utf8_lossy(&out.stdout);
+    assert!(merged.contains(&format!("\"cycles\":{},", i64::MAX)), "{merged}");
+    let saturated = dir.join("mon-saturated.json");
+    std::fs::write(&saturated, merged.as_bytes()).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_squashmon"))
+        .arg(saturated.to_str().unwrap())
+        .output()
+        .expect("squashmon reads the merge");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 /// Compiles `PROGRAM` into `dir/<name>.sqsh` and returns the image path.
@@ -767,7 +814,8 @@ fn squashrun_exit_codes_follow_the_sysexits_contract() {
 #[test]
 fn squashrun_metrics_equal_the_library_run() {
     use squash_repro::squash::pipeline::{self, RunConfig};
-    use squash_repro::squash::telemetry::{json, Observers, Telemetry};
+    use squash_repro::obs::json;
+    use squash_repro::squash::telemetry::{Observers, Telemetry};
     use squash_repro::squash::image_file;
     use squash_repro::vm::{ICacheConfig, JsonlRing};
 

@@ -204,7 +204,8 @@ fn fleet() -> (
 /// survives the JSON round trip unchanged.
 #[test]
 fn telemetry_merge_is_commutative_and_round_trips() {
-    use squash_repro::squash::telemetry::{json, Telemetry};
+    use squash_repro::obs::json;
+    use squash_repro::squash::telemetry::Telemetry;
     let (_, _, _, docs) = fleet();
     let ab = Telemetry::merge(&docs);
     let ba = Telemetry::merge(&[docs[1].clone(), docs[0].clone()]);

@@ -4,7 +4,8 @@
 
 use squash_repro::squash::monitor::{self, SlotTimeline, SpanBuilder};
 use squash_repro::squash::pipeline::{self, RunConfig};
-use squash_repro::squash::telemetry::{json, Observers, Telemetry};
+use squash_repro::obs::json;
+use squash_repro::squash::telemetry::{Observers, Telemetry};
 use squash_repro::squash::{audit, retune, SquashOptions, Squasher};
 
 const PROGRAM: &str = r#"
