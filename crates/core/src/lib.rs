@@ -220,10 +220,11 @@ pub struct SquashOptions {
     /// Huffman coding (§3 discusses this variant and rejects it for
     /// decompressor size/speed; available for the ablation).
     pub mtf_displacements: bool,
-    /// Worker threads for the parallel pipeline stages (region formation,
-    /// pack seeding, region encoding, and profiling fan out over this many
-    /// threads). 1 (the default) runs everything inline on the caller's
-    /// thread. The emitted image is byte-identical for every value.
+    /// Worker threads for the parallel pipeline stages (region growth,
+    /// region encoding, and profiling fan out over this many threads;
+    /// packing runs serially). 1 (the default) runs everything inline on
+    /// the caller's thread. The emitted image is byte-identical for every
+    /// value.
     ///
     /// The value is honored literally (so tests can force real threading on
     /// any machine); front-ends translating a user's `--jobs` request should

@@ -5,7 +5,7 @@
 //! kept only when profitable (`E < (1-γ)·I`), then greedily packed pairwise
 //! while the packing saves space.
 
-use std::collections::HashSet;
+use std::collections::{BinaryHeap, HashSet};
 
 use squash_cfg::link::block_emitted_words;
 use squash_cfg::{AddrTarget, DataItem, FuncId, JumpTarget, Program, Term};
@@ -334,7 +334,7 @@ pub fn form_regions_with(
         }
     };
     if options.pack_regions {
-        pack(&sizing, refs, &mut regions, k_words, options.jobs);
+        pack(&sizing, refs, &mut regions, k_words);
     }
     regions
 }
@@ -502,52 +502,135 @@ fn merge_sorted(a: &[(FuncId, usize)], b: &[(FuncId, usize)]) -> Vec<(FuncId, us
 }
 
 /// Greedy pairwise packing: repeatedly merge the pair with the highest
-/// positive savings that still fits K (paper §4). Implemented with a lazy
-/// max-heap so large region counts stay tractable: stale entries are
-/// discarded on pop via per-region version stamps.
+/// positive savings that still fits K (paper §4), ties going to the highest
+/// `(lo, hi)` slot pair; the merged region takes slot `lo`.
+///
+/// A merge saves the words it removes (fall-throughs that become adjacent,
+/// entry stubs that become internal) plus the region's word in the
+/// function offset table. The first two are intra-function:
+/// [`SizingTable::cost`] only credits a next block in the same function,
+/// and `RefInfo::intra_preds` only lists same-function predecessors. Two
+/// regions that share no function therefore save exactly 1 when
+/// `a.words + b.words ≤ K`, and need no scoring. The lazy max-heap holds:
+///
+/// * every pair that shares a function, scored exactly;
+/// * per region `lo`, one entry for its *best partner*: the highest-indexed
+///   `hi > lo` that shares no function with it and fits.
+///
+/// Entries carry both regions' version stamps and are skipped on pop once
+/// either region has changed. A region's best partner depends only on the
+/// region and the ones above it: a merge into a region recomputes its best
+/// partner, an entry whose partner changed or died is recomputed when it
+/// pops, and after each merge into `i` every lower region whose best
+/// partner sits below `i` is offered `i` (a merge can shrink `i` enough to
+/// fit). Every alive pair thus stays under some heap entry, and merges
+/// happen in exactly the all-pairs greedy order.
 ///
 /// Candidate evaluation is O(|a| + |b|) in blocks: sizes come from the
 /// [`SizingTable`], members from a two-pointer merge, and entry stubs from
 /// re-testing only the union of the two regions' own entry lists — a block
 /// whose predecessors all lie inside its old region still has them inside
 /// the merged one, so `entries(a ∪ b) ⊆ entries(a) ∪ entries(b)`.
-///
-/// Heap seeding fans out over `jobs` workers. The final merge sequence is
-/// independent of `jobs`: seeded tuples carry distinct `(pair, version)`
-/// keys, so the totally-ordered heap pops them identically however they
-/// were inserted.
-fn pack(sizing: &SizingTable, refs: &RefInfo, regions: &mut Vec<Region>, k_words: u32, jobs: usize) {
-    use std::collections::BinaryHeap;
-
-    #[derive(Clone)]
-    struct Entry {
-        region: Region,
-        words: u32,
-        /// Sorted entry-stub blocks; `len()` is the region's stub count.
-        entries: Vec<(FuncId, usize)>,
-        version: u64,
+fn pack(sizing: &SizingTable, refs: &RefInfo, regions: &mut Vec<Region>, k_words: u32) {
+    let n = regions.len();
+    let mut by_func = vec![Vec::new(); refs.entry_referenced.len()];
+    let mut alive = Vec::with_capacity(n);
+    for (i, region) in regions.drain(..).enumerate() {
+        let words = sizing.words_of(&region.blocks);
+        let entries = entry_blocks(&region, refs);
+        let entry = PackEntry::new(region, words, entries, 0);
+        for &f in &entry.funcs {
+            by_func[f].push(i);
+        }
+        alive.push(Some(entry));
     }
-    let make = |r: Region| {
-        let words = sizing.words_of(&r.blocks);
-        let entries = entry_blocks(&r, refs);
-        Entry {
-            region: r,
+    let mut packer = Packer {
+        sizing,
+        refs,
+        k_words,
+        alive,
+        by_func,
+        best: vec![None; n],
+        heap: BinaryHeap::new(),
+        next_version: 1,
+    };
+    for i in 0..n {
+        packer.push_shared(i, true);
+        packer.refresh_best(i);
+    }
+    packer.run();
+    regions.extend(packer.alive.into_iter().flatten().map(|e| e.region));
+}
+
+/// A region during packing, with what scoring reads cached.
+struct PackEntry {
+    region: Region,
+    words: u32,
+    /// Sorted entry-stub blocks; `len()` is the region's stub count.
+    entries: Vec<(FuncId, usize)>,
+    /// Sorted functions the region has blocks in.
+    funcs: Vec<usize>,
+    version: u64,
+}
+
+impl PackEntry {
+    fn new(region: Region, words: u32, entries: Vec<(FuncId, usize)>, version: u64) -> Self {
+        // Blocks are sorted by function, so `dedup` leaves each once.
+        let mut funcs: Vec<usize> = region.blocks.iter().map(|&(f, _)| f.0).collect();
+        funcs.dedup();
+        PackEntry {
+            region,
             words,
             entries,
-            version: 0,
+            funcs,
+            version,
         }
-    };
-    let mut alive: Vec<Option<Entry>> = regions.drain(..).map(|r| Some(make(r))).collect();
-    // Allocation-free scoring for the thousands of candidate evaluations:
-    // union size from the fused two-pointer walk, surviving entry stubs
-    // counted with membership tested against the two source lists (the
-    // union contains a block iff one of them does).
-    let score_of = |a: &Entry, b: &Entry| -> Option<i64> {
-        // Union size. When one region's blocks all sort before the other's
-        // (regions in different functions — the common case), the union is a
-        // concatenation and only the seam block's successor changes, so the
-        // size comes from the parts in O(1); otherwise walk the merge.
-        let concat_words = |x: &Entry, y: &Entry| {
+    }
+}
+
+/// A packing heap entry. Fields compare in declaration order, so the heap
+/// pops by `(savings, lo, hi)`; the versions only tell stale entries apart.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Candidate {
+    savings: i64,
+    lo: usize,
+    hi: usize,
+    versions: (u64, u64),
+    /// `lo`'s best-partner entry, rather than an exactly scored pair that
+    /// shares a function.
+    best: bool,
+}
+
+/// The state of one [`pack`] run.
+struct Packer<'a> {
+    sizing: &'a SizingTable,
+    refs: &'a RefInfo,
+    k_words: u32,
+    alive: Vec<Option<PackEntry>>,
+    /// `by_func[f]`: the alive regions with a block in function `f`.
+    by_func: Vec<Vec<usize>>,
+    /// `best[lo]`: the partner in `lo`'s latest best-partner entry.
+    best: Vec<Option<usize>>,
+    heap: BinaryHeap<Candidate>,
+    next_version: u64,
+}
+
+impl Packer<'_> {
+    fn entry(&self, i: usize) -> &PackEntry {
+        self.alive[i].as_ref().expect("region is alive")
+    }
+
+    /// The savings of merging `a` and `b`, without materializing the union:
+    /// its size from the fused two-pointer walk, and its surviving entry
+    /// stubs counted with membership tested against the two source lists
+    /// (the union contains a block iff one of them does).
+    fn score(&self, a: &PackEntry, b: &PackEntry) -> Option<i64> {
+        let (sizing, refs) = (self.sizing, self.refs);
+        // Union size. When one region's blocks all sort before the other's,
+        // the union is a concatenation and only the seam block's successor
+        // changes, so the size comes from the parts in O(1); otherwise walk
+        // the merge.
+        let concat_words = |x: &PackEntry, y: &PackEntry| {
             let &last = x.region.blocks.last().expect("regions are non-empty");
             let &first = y.region.blocks.first().expect("regions are non-empty");
             x.words + y.words + sizing.cost(last.0, last.1, Some(first))
@@ -555,15 +638,14 @@ fn pack(sizing: &SizingTable, refs: &RefInfo, regions: &mut Vec<Region>, k_words
         };
         let (ab, bb) = (&a.region.blocks, &b.region.blocks);
         let words = if ab.last() < bb.first() {
-            Some(concat_words(a, b)).filter(|&w| w <= k_words)
+            Some(concat_words(a, b)).filter(|&w| w <= self.k_words)
         } else if bb.last() < ab.first() {
-            Some(concat_words(b, a)).filter(|&w| w <= k_words)
+            Some(concat_words(b, a)).filter(|&w| w <= self.k_words)
         } else {
-            sizing.words_of_union(ab, bb, k_words)
+            sizing.words_of_union(ab, bb, self.k_words)
         }?;
         let in_union = |f: FuncId, p: usize| {
-            a.region.blocks.binary_search(&(f, p)).is_ok()
-                || b.region.blocks.binary_search(&(f, p)).is_ok()
+            ab.binary_search(&(f, p)).is_ok() || bb.binary_search(&(f, p)).is_ok()
         };
         let mut entries = 0i64;
         for &(f, bi) in a.entries.iter().chain(&b.entries) {
@@ -576,13 +658,15 @@ fn pack(sizing: &SizingTable, refs: &RefInfo, regions: &mut Vec<Region>, k_words
             + 2 * (a.entries.len() as i64 + b.entries.len() as i64 - entries)
             + 1;
         (savings > 0).then_some(savings)
-    };
-    // The materializing twin, for the one winning pair per merge step.
-    type Merged = (Region, u32, Vec<(FuncId, usize)>);
-    let savings_of = |a: &Entry, b: &Entry| -> Option<Merged> {
+    }
+
+    /// The materializing twin of [`Packer::score`], for the one winning pair
+    /// per merge step: the union, stamped with the next version.
+    fn merged(&self, a: &PackEntry, b: &PackEntry) -> Option<PackEntry> {
+        let refs = self.refs;
         let blocks = merge_sorted(&a.region.blocks, &b.region.blocks);
-        let words = sizing.words_of(&blocks);
-        if words > k_words {
+        let words = self.sizing.words_of(&blocks);
+        if words > self.k_words {
             return None;
         }
         let mut entries = Vec::new();
@@ -599,68 +683,128 @@ fn pack(sizing: &SizingTable, refs: &RefInfo, regions: &mut Vec<Region>, k_words
         let savings = (a.words as i64 + b.words as i64 - words as i64)
             + 2 * (a.entries.len() as i64 + b.entries.len() as i64 - entries.len() as i64)
             + 1;
-        (savings > 0).then_some((Region { blocks }, words, entries))
-    };
-    // Seed the heap with every viable pair, fanned out over row ranges.
-    let n0 = alive.len();
-    let seeds = crate::par::run_chunked(jobs, n0, |range| {
-        let mut out: Vec<(i64, usize, usize, u64, u64)> = Vec::new();
-        for i in range {
-            let Some(a) = &alive[i] else { continue };
-            for (j, slot) in alive.iter().enumerate().skip(i + 1) {
-                let Some(b) = slot else { continue };
-                // Cheap pre-filter: merged size lower bound.
-                if a.words + b.words > k_words + 16 {
-                    continue;
-                }
-                if let Some(s) = score_of(a, b) {
-                    out.push((s, i, j, a.version, b.version));
-                }
+        (savings > 0).then(|| PackEntry::new(Region { blocks }, words, entries, self.next_version))
+    }
+
+    /// Pushes the scored pairs of `i` with every region sharing one of its
+    /// functions (only those above `i` when `above_only`).
+    fn push_shared(&mut self, i: usize, above_only: bool) {
+        let a = self.entry(i);
+        let mut partners: Vec<usize> = a
+            .funcs
+            .iter()
+            .flat_map(|&f| self.by_func[f].iter().copied())
+            .filter(|&k| k != i && (!above_only || k > i))
+            .collect();
+        partners.sort_unstable();
+        partners.dedup();
+        let mut found = Vec::new();
+        for k in partners {
+            let b = self.entry(k);
+            // A cheap heuristic cutoff, not a bound: interleaved regions of
+            // one function can save more than 16 fall-through words. It
+            // stays because dropping it would change which pairs merge, and
+            // so the images.
+            if a.words + b.words > self.k_words + 16 {
+                continue;
+            }
+            if let Some(savings) = self.score(a, b) {
+                found.push(Candidate {
+                    savings,
+                    lo: i.min(k),
+                    hi: i.max(k),
+                    versions: if i < k {
+                        (a.version, b.version)
+                    } else {
+                        (b.version, a.version)
+                    },
+                    best: false,
+                });
             }
         }
-        out
-    });
-    let mut heap: BinaryHeap<(i64, usize, usize, u64, u64)> = seeds.into_iter().collect();
-    let mut next_version = 1u64;
-    while let Some((_, i, j, vi, vj)) = heap.pop() {
-        let (Some(a), Some(b)) = (&alive[i], &alive[j]) else { continue };
-        if a.version != vi || b.version != vj {
-            continue; // stale entry
-        }
-        // Recompute (entries can also be stale in value when other merges
-        // changed nothing about i/j — versions guard that, so this is the
-        // authoritative evaluation).
-        let Some((merged, words, entries)) = savings_of(a, b) else { continue };
-        alive[j] = None;
-        let version = next_version;
-        next_version += 1;
-        alive[i] = Some(Entry {
-            region: merged,
-            words,
-            entries,
-            version,
+        self.heap.extend(found);
+    }
+
+    /// Whether `hi` is a best-partner candidate for `lo`: it shares no
+    /// function with `lo`, so the pair saves exactly 1, and the two fit.
+    fn fits_apart(&self, lo: &PackEntry, hi: &PackEntry) -> bool {
+        lo.words + hi.words <= self.k_words
+            && !lo.funcs.iter().any(|f| hi.funcs.binary_search(f).is_ok())
+    }
+
+    /// Recomputes `lo`'s best partner and pushes its entry.
+    fn refresh_best(&mut self, lo: usize) {
+        let a = self.entry(lo);
+        let best = (lo + 1..self.alive.len()).rev().find(|&hi| {
+            self.alive[hi]
+                .as_ref()
+                .is_some_and(|b| self.fits_apart(a, b))
         });
-        // New candidate pairs involving i.
-        let ei = alive[i].clone().expect("just set");
-        for (k, slot) in alive.iter().enumerate() {
-            if k == i {
-                continue;
-            }
-            let Some(other) = slot else { continue };
-            if ei.words + other.words > k_words + 16 {
-                continue;
-            }
-            if let Some(s) = score_of(&ei, other) {
-                let (lo, hi, vlo, vhi) = if k < i {
-                    (k, i, other.version, ei.version)
-                } else {
-                    (i, k, ei.version, other.version)
-                };
-                heap.push((s, lo, hi, vlo, vhi));
-            }
+        self.best[lo] = best;
+        if let Some(hi) = best {
+            self.push_best(lo, hi);
         }
     }
-    regions.extend(alive.into_iter().flatten().map(|e| e.region));
+
+    fn push_best(&mut self, lo: usize, hi: usize) {
+        let versions = (self.entry(lo).version, self.entry(hi).version);
+        self.heap.push(Candidate {
+            savings: 1,
+            lo,
+            hi,
+            versions,
+            best: true,
+        });
+    }
+
+    /// Offers the just-merged region `i` to every lower region whose best
+    /// partner sits below it.
+    fn offer(&mut self, i: usize) {
+        let b = self.entry(i);
+        let takers: Vec<usize> = (0..i)
+            .filter(|&lo| {
+                self.best[lo].is_none_or(|h| h < i)
+                    && self.alive[lo]
+                        .as_ref()
+                        .is_some_and(|a| self.fits_apart(a, b))
+            })
+            .collect();
+        for lo in takers {
+            self.best[lo] = Some(i);
+            self.push_best(lo, i);
+        }
+    }
+
+    fn run(&mut self) {
+        while let Some(c) = self.heap.pop() {
+            let version = |slot: usize| self.alive[slot].as_ref().map(|e| e.version);
+            if (version(c.lo), version(c.hi)) != (Some(c.versions.0), Some(c.versions.1)) {
+                // A merge into `lo` pushed its fresh entries itself; only a
+                // best partner that changed or died leaves `lo` to refresh.
+                if c.best && version(c.lo) == Some(c.versions.0) && self.best[c.lo] == Some(c.hi) {
+                    self.refresh_best(c.lo);
+                }
+                continue;
+            }
+            let (i, j) = (c.lo, c.hi);
+            let Some(merged) = self.merged(self.entry(i), self.entry(j)) else {
+                continue;
+            };
+            self.next_version += 1;
+            let gone = self.alive[j].take().expect("region is alive");
+            for &f in &gone.funcs {
+                let list = &mut self.by_func[f];
+                list.retain(|&r| r != j);
+                if !list.contains(&i) {
+                    list.push(i);
+                }
+            }
+            self.alive[i] = Some(merged);
+            self.push_shared(i, false);
+            self.refresh_best(i);
+            self.offer(i);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -910,6 +1054,164 @@ mod tests {
             );
             assert_eq!(serial, parallel, "jobs={jobs} changed region formation");
         }
+    }
+
+    /// The packing greedy stated directly: at each step, score every alive
+    /// pair `lo < hi` that passes the `+16` cutoff by materializing its
+    /// union, and merge the pair with the largest `(savings, lo, hi)` among
+    /// those that save anything. A score depends only on its two regions,
+    /// so it is kept until one of them changes.
+    fn pack_reference(
+        program: &Program,
+        refs: &RefInfo,
+        regions: Vec<Region>,
+        k_words: u32,
+    ) -> Vec<Region> {
+        let k = i64::from(k_words);
+        let words = |r: &Region| i64::from(estimate_image_words(program, &r.blocks));
+        let stubs = |r: &Region| entry_blocks(r, refs).len() as i64;
+        let score = |a: &Region, b: &Region| -> Option<(i64, Region)> {
+            if words(a) + words(b) > k + 16 {
+                return None;
+            }
+            let union = Region {
+                blocks: merge_sorted(&a.blocks, &b.blocks),
+            };
+            if words(&union) > k {
+                return None;
+            }
+            let savings =
+                words(a) + words(b) - words(&union) + 2 * (stubs(a) + stubs(b) - stubs(&union)) + 1;
+            (savings > 0).then_some((savings, union))
+        };
+        let n = regions.len();
+        let mut slots: Vec<Option<Region>> = regions.into_iter().map(Some).collect();
+        let mut scores = vec![vec![None; n]; n];
+        loop {
+            let mut best: Option<(i64, usize, usize)> = None;
+            for lo in 0..n {
+                for hi in lo + 1..n {
+                    let (Some(a), Some(b)) = (&slots[lo], &slots[hi]) else {
+                        continue;
+                    };
+                    if let Some((s, _)) = scores[lo][hi].get_or_insert_with(|| score(a, b)) {
+                        if best.is_none_or(|top| (*s, lo, hi) > top) {
+                            best = Some((*s, lo, hi));
+                        }
+                    }
+                }
+            }
+            let Some((_, lo, hi)) = best else { break };
+            let (_, union) = scores[lo][hi].take().flatten().expect("scored above");
+            slots[lo] = Some(union);
+            slots[hi] = None;
+            for other in 0..n {
+                scores[lo.min(other)][lo.max(other)] = None;
+            }
+        }
+        slots.into_iter().flatten().collect()
+    }
+
+    #[test]
+    fn pack_matches_the_all_pairs_greedy() {
+        let mut cases = vec![("fixture", fixture())];
+        // A paper program and a jump-table-heavy corpus program.
+        for name in ["adpcm", "g087h80j15d1v3"] {
+            let w = squash_workloads::by_name(name).expect("workload exists");
+            let (program, _) = w.squeezed();
+            let profile = pipeline::profile(&program, &[w.profiling_input()]).unwrap();
+            cases.push((name, (program, profile)));
+        }
+        for (name, (program, profile)) in &cases {
+            let refs = ref_info(program);
+            for theta in [0.0, 1e-3, 1.0] {
+                for buffer_limit in [256, 512] {
+                    let opts = SquashOptions {
+                        theta,
+                        buffer_limit,
+                        pack_regions: false,
+                        ..SquashOptions::default()
+                    };
+                    let cold = crate::cold::identify(program, profile, theta).unwrap();
+                    let comp = compressible_blocks(program, &cold, &opts);
+                    let unpacked = form_regions_with(program, &comp, &refs, &opts);
+                    let packed = form_regions_with(
+                        program,
+                        &comp,
+                        &refs,
+                        &SquashOptions {
+                            pack_regions: true,
+                            ..opts
+                        },
+                    );
+                    let expected = pack_reference(program, &refs, unpacked, buffer_limit / 4);
+                    assert_eq!(packed, expected, "{name} θ={theta} K={buffer_limit}");
+                }
+            }
+        }
+    }
+
+    /// A merge can shrink a region, when empty blocks make fall-throughs
+    /// adjacent. A lower region that fit with nothing before may then fit
+    /// with the merged one, and only the offer after the merge finds it.
+    #[test]
+    fn pack_offers_a_shrunken_region_to_lower_slots() {
+        use squash_cfg::{Block, Function, PInst};
+        let block = |insts: usize, term: Term| Block {
+            labels: Vec::new(),
+            insts: vec![PInst::plain(squash_isa::Inst::NOP); insts],
+            term,
+        };
+        let program = Program {
+            funcs: vec![
+                Function {
+                    name: "main".into(),
+                    blocks: vec![block(0, Term::Exit)],
+                },
+                // Five empty blocks falling through into an exit.
+                Function {
+                    name: "chain".into(),
+                    blocks: (0..5)
+                        .map(|b| block(0, Term::Fall { next: b + 1 }))
+                        .chain([block(0, Term::Exit)])
+                        .collect(),
+                },
+                Function {
+                    name: "big".into(),
+                    blocks: vec![block(6, Term::Exit)],
+                },
+            ],
+            data: Vec::new(),
+            entry: FuncId(0),
+        };
+        let (chain, big) = (FuncId(1), FuncId(2));
+        let regions = vec![
+            Region {
+                blocks: vec![(big, 0)],
+            },
+            Region {
+                blocks: vec![(chain, 0), (chain, 2), (chain, 4)],
+            },
+            Region {
+                blocks: vec![(chain, 1), (chain, 3)],
+            },
+        ];
+        let sizing = SizingTable::build(&program);
+        let words: Vec<u32> = regions.iter().map(|r| sizing.words_of(&r.blocks)).collect();
+        assert_eq!(words, [7, 3, 2]);
+        let refs = ref_info(&program);
+        let mut packed = regions.clone();
+        pack(&sizing, &refs, &mut packed, 8);
+        let all = vec![
+            (chain, 0),
+            (chain, 1),
+            (chain, 2),
+            (chain, 3),
+            (chain, 4),
+            (big, 0),
+        ];
+        assert_eq!(packed, [Region { blocks: all }]);
+        assert_eq!(packed, pack_reference(&program, &refs, regions, 8));
     }
 
     #[test]
