@@ -1,7 +1,7 @@
 //! Bridges from the system's native telemetry (trace events, stage records,
-//! telemetry documents, pc samples) to the `squash-obs` encoders.
+//! pc samples, fleet metrics) to the `squash-obs` encoders.
 //!
-//! Four bridges, one per observability surface (`DESIGN.md` §16):
+//! Three bridges, for spans, samples and fleet metrics (`DESIGN.md` §16):
 //!
 //! * [`SpanBuilder`] — a [`TraceSink`] folding the runtime decompressor's
 //!   event stream into hierarchical cycle-domain spans: every service trap
@@ -15,19 +15,22 @@
 //!   pc samples against buffer-slot residency (which region occupied the
 //!   slot at each cycle) and the image's address map, producing
 //!   flamegraph-compatible collapsed stacks for `squashrun --samples`.
-//! * [`registry`] — mirrors a [`Telemetry`] document onto a metrics
-//!   [`Registry`] (counters, gauges, and the trap inter-arrival histogram)
-//!   without touching the document's own JSON schema; `squashmon --prom`
-//!   renders the Prometheus exposition.
+//! * [`fleet_registry`] — mirrors a fleet metrics snapshot onto a metrics
+//!   [`Registry`] for `squashd --prom`.
+//!
+//! A telemetry document mirrors itself:
+//! [`Telemetry::registry`](crate::telemetry::Telemetry::registry) reads the
+//! schema's field tables, so only the `telemetry` module knows the field
+//! list.
 //!
 //! Everything here consumes already-recorded data, so the zero-perturbation
 //! contract (`tests/differential.rs`) is inherited from the emitters.
 
-use squash_obs::{Histogram, Registry, SpanId, SpanLog, Stacks};
+use squash_obs::{Registry, SpanId, SpanLog, Stacks};
 use squash_vm::{Sample, TraceEvent, TraceSink};
 
 use crate::runtime::RuntimeConfig;
-use crate::telemetry::{StageRecord, Telemetry};
+use crate::telemetry::StageRecord;
 
 /// Folds runtime trace events into a cycle-domain [`SpanLog`].
 ///
@@ -268,183 +271,12 @@ pub fn collapse_samples(
     stacks
 }
 
-/// Mirrors a telemetry document onto a metrics [`Registry`]: every counter
-/// the document carries becomes a Prometheus-exposable metric, the trap
-/// inter-arrival log2 buckets become a histogram, and the document's name
-/// rides on a `squash_info` gauge label. The telemetry JSON schema itself is
-/// untouched — this is a read-only projection.
-pub fn registry(t: &Telemetry) -> Registry {
-    let mut r = Registry::new();
-    r.set_gauge(
-        "squash_info",
-        "What was measured; value is always 1",
-        &[("name", &t.name)],
-        1.0,
-    );
-    if t.docs > 0 {
-        r.set_gauge(
-            "squash_telemetry_docs",
-            "Run documents folded into this aggregate",
-            &[],
-            t.docs as f64,
-        );
-    }
-    if t.trace_drops > 0 {
-        r.add_counter(
-            "squash_trace_drops_total",
-            "Events the bounded trace ring discarded",
-            &[],
-            t.trace_drops,
-        );
-    }
-    if t.sampler_drops > 0 {
-        r.add_counter(
-            "squash_sampler_drops_total",
-            "Samples the bounded sampling profiler discarded",
-            &[],
-            t.sampler_drops,
-        );
-    }
-    if let Some(run) = t.run {
-        r.set_gauge("squash_run_status", "Guest exit status", &[], run.status as f64);
-        r.add_counter(
-            "squash_run_instructions_total",
-            "Instructions executed",
-            &[],
-            run.instructions,
-        );
-        r.add_counter(
-            "squash_run_cycles_total",
-            "Cycles consumed (instructions + service charges)",
-            &[],
-            run.cycles,
-        );
-        r.add_counter(
-            "squash_run_output_bytes_total",
-            "Bytes the guest wrote",
-            &[],
-            run.output_bytes,
-        );
-    }
-    if let Some(rt) = t.runtime {
-        let help = "Runtime decompressor counter";
-        for (name, v) in [
-            ("squash_runtime_decompressions_total", rt.decompressions),
-            ("squash_runtime_skipped_total", rt.skipped),
-            ("squash_runtime_stub_hits_total", rt.stub_hits),
-            ("squash_runtime_stub_allocs_total", rt.stub_allocs),
-            ("squash_runtime_restores_total", rt.restores),
-            ("squash_runtime_bits_read_total", rt.bits_read),
-            ("squash_runtime_insts_written_total", rt.insts_written),
-            ("squash_runtime_cycles_charged_total", rt.cycles_charged),
-            ("squash_runtime_hits_total", rt.hits),
-            ("squash_runtime_misses_total", rt.misses),
-            ("squash_runtime_evictions_total", rt.evictions),
-            ("squash_runtime_regions_verified_total", rt.regions_verified),
-            ("squash_runtime_checksum_cycles_total", rt.checksum_cycles),
-        ] {
-            r.add_counter(name, help, &[], v);
-        }
-        r.set_gauge(
-            "squash_runtime_max_live_stubs",
-            "High-water mark of live restore stubs",
-            &[],
-            rt.max_live_stubs as f64,
-        );
-    }
-    if let Some(ic) = t.icache {
-        r.add_counter("squash_icache_hits_total", "Instruction-cache hits", &[], ic.hits);
-        r.add_counter("squash_icache_misses_total", "Instruction-cache misses", &[], ic.misses);
-        r.add_counter("squash_icache_flushes_total", "Instruction-cache flushes", &[], ic.flushes);
-        r.set_gauge("squash_icache_miss_ratio", "Miss ratio", &[], ic.miss_ratio());
-    }
-    for s in &t.stages {
-        let labels: &[(&str, &str)] = &[("stage", &s.name)];
-        r.add_counter("squash_stage_wall_ns_total", "Stage wall-clock", labels, s.wall_ns);
-        r.add_counter("squash_stage_items_total", "Stage items processed", labels, s.items);
-        r.add_counter(
-            "squash_stage_output_bytes_total",
-            "Stage artifact bytes",
-            labels,
-            s.output_bytes,
-        );
-    }
-    for f in &t.faults {
-        r.add_counter(
-            "squash_faults_total",
-            "Machine-check faults by kind",
-            &[("kind", &f.kind)],
-            f.count,
-        );
-    }
-    if let Some(attr) = &t.attribution {
-        for (kind, v) in [
-            ("create_stub", attr.traps.create_stub),
-            ("entry", attr.traps.entry),
-            ("restore", attr.traps.restore),
-        ] {
-            r.add_counter("squash_traps_total", "Service traps by kind", &[("kind", kind)], v);
-        }
-        for row in &attr.regions {
-            let region = row.region.to_string();
-            let labels: &[(&str, &str)] = &[("region", &region)];
-            r.add_counter(
-                "squash_region_decompressions_total",
-                "Decompressions per region",
-                labels,
-                row.decompressions,
-            );
-            r.add_counter(
-                "squash_region_residency_cycles_total",
-                "Cycles the region was buffer-resident",
-                labels,
-                row.residency_cycles,
-            );
-            for (kind, v) in [
-                ("decomp", row.decomp_cycles),
-                ("hit", row.hit_cycles),
-                ("stub", row.stub_cycles),
-            ] {
-                r.add_counter(
-                    "squash_region_cycles_total",
-                    "Attributed service cycles per region",
-                    &[("region", &region), ("kind", kind)],
-                    v,
-                );
-            }
-        }
-        if !attr.interarrival.is_empty() {
-            // The attribution buckets are log2: bucket 0 holds zero deltas,
-            // bucket i ≥ 1 holds [2^(i-1), 2^i). Re-expose them under the
-            // conservative upper bound 2^i (every delta in bucket i is
-            // ≤ 2^i), with the sum estimated from bucket lower bounds —
-            // the native buckets do not keep exact values.
-            let n = attr.interarrival.len();
-            let bounds: Vec<f64> = (0..n).map(|i| (1u64 << i) as f64).collect();
-            let mut counts = attr.interarrival.clone();
-            counts.push(0); // +Inf: the top bucket is already the maximum seen
-            let sum: f64 = attr
-                .interarrival
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(i, &c)| c as f64 * (1u64 << (i - 1)) as f64)
-                .sum();
-            r.set_histogram(
-                "squash_trap_interarrival_cycles",
-                "Cycles between consecutive service traps (log2 buckets; bounds are conservative)",
-                &[],
-                Histogram::from_parts(&bounds, counts, sum),
-            );
-        }
-    }
-    r
-}
-
 /// Mirrors a fleet metrics snapshot onto a [`Registry`]: per-tenant request
 /// counters (labelled by tenant and outcome), per-tenant simulated work,
 /// the shared decode-cache counters, the quarantine ledger, and the image
-/// store's backoff count. Like [`registry`], a read-only projection.
+/// store's backoff count. Like
+/// [`Telemetry::registry`](crate::telemetry::Telemetry::registry), a
+/// read-only projection.
 pub fn fleet_registry(m: &crate::fleet::FleetMetrics) -> Registry {
     let mut r = Registry::new();
     for t in &m.tenants {
@@ -641,48 +473,5 @@ mod tests {
              prog;decompressor 1\nprog;text 1\n"
         );
         assert_eq!(stacks.total(), samples.len() as u64);
-    }
-
-    #[test]
-    fn registry_mirrors_counters_and_histogram() {
-        use crate::telemetry::{AttributionReport, RunMetrics, TrapCounts};
-        let t = Telemetry {
-            name: "img.sqsh".into(),
-            run: Some(RunMetrics {
-                status: 0,
-                instructions: 100,
-                cycles: 150,
-                output_bytes: 5,
-            }),
-            trace_drops: 3,
-            attribution: Some(AttributionReport {
-                traps: TrapCounts { create_stub: 1, entry: 2, restore: 3 },
-                interarrival: vec![4, 5, 6],
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let r = registry(&t);
-        let text = r.to_prometheus();
-        assert!(text.contains("squash_info{name=\"img.sqsh\"} 1"), "{text}");
-        assert!(text.contains("squash_run_cycles_total 150"), "{text}");
-        assert!(text.contains("squash_trace_drops_total 3"), "{text}");
-        assert!(text.contains("squash_traps_total{kind=\"entry\"} 2"), "{text}");
-        // Histogram: bounds 1,2,4 cumulative 4,9,15, +Inf 15 == _count.
-        assert!(text.contains("squash_trap_interarrival_cycles_bucket{le=\"1\"} 4"), "{text}");
-        assert!(text.contains("squash_trap_interarrival_cycles_bucket{le=\"4\"} 15"), "{text}");
-        assert!(
-            text.contains("squash_trap_interarrival_cycles_bucket{le=\"+Inf\"} 15"),
-            "{text}"
-        );
-        assert!(text.contains("squash_trap_interarrival_cycles_count 15"), "{text}");
-    }
-
-    #[test]
-    fn empty_document_mirrors_to_info_only() {
-        let r = registry(&Telemetry::default());
-        let text = r.to_prometheus();
-        assert!(text.contains("squash_info{name=\"\"} 1"), "{text}");
-        assert!(!text.contains("squash_run_"), "{text}");
     }
 }

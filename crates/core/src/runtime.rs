@@ -156,13 +156,6 @@ pub struct RuntimeStats {
     pub checksum_cycles: u64,
 }
 
-impl RuntimeConfig {
-    /// Total bytes reserved for the decompressor area in the image.
-    pub fn cfg_decomp_bytes(&self) -> u32 {
-        self.decomp_bytes
-    }
-}
-
 /// One slot of the decompressed-region cache.
 #[derive(Debug, Clone, Copy, Default)]
 struct CacheSlot {

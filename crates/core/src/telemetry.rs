@@ -28,10 +28,20 @@
 //! [`squash_obs::json`]: [`Telemetry::to_json`] builds a [`Json`] value and
 //! [`Telemetry::from_json`] reads one back. The codec saturates counters at
 //! `i64::MAX`, so a merged document whose sums saturated still reads back.
+//!
+//! Every counter of the schema is one row of a `const` table, one table per
+//! section. A row names the struct field, which is also the JSON key, and
+//! holds its merge rule, whether an absent key reads as zero, and its
+//! Prometheus projection. [`Telemetry::to_json`], [`Telemetry::from_json`],
+//! [`Telemetry::merge`] and the metrics mirror [`Telemetry::registry`] loop
+//! over the tables, so a new counter is one new row. Only row keys, the
+//! signed exit status, the stage note, the document count and the derived
+//! values are written out by hand.
 
 use std::collections::BTreeMap;
 
 use squash_obs::json::{int, obj, Json};
+use squash_obs::{Histogram, Registry};
 use squash_vm::{ICacheStats, JsonlRing, TraceEvent, TraceSink, TrapKind};
 
 use crate::runtime::RuntimeStats;
@@ -55,6 +65,210 @@ pub const SCHEMA_VERSION: u32 = 2;
 /// region's counters).
 fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, String> {
     T::try_from(v).map_err(|_| format!("telemetry: \"{what}\" out of range ({v})"))
+}
+
+/// The counter `key` of the JSON object `j`.
+fn req(j: &Json, key: &str) -> Result<u64, String> {
+    j.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("telemetry: missing or bad \"{key}\""))
+}
+
+/// One counter of a telemetry section: one row of the section's table.
+struct Field<T> {
+    /// The struct field's name, which is also its JSON key.
+    key: &'static str,
+    get: fn(&T) -> u64,
+    /// Stores a value through [`narrow`].
+    set: fn(&mut T, u64) -> Result<(), String>,
+    /// How [`Telemetry::merge`] combines two documents' values: [`SUM`] or
+    /// [`MAX`].
+    merge: fn(u64, u64) -> u64,
+    /// Whether an absent or malformed key reads as zero, as the counters
+    /// added after schema 1 do ([`OPT`]), or is an error ([`REQ`]).
+    optional: bool,
+    prom: Prom,
+}
+
+const SUM: fn(u64, u64) -> u64 = u64::saturating_add;
+/// For high-water marks.
+const MAX: fn(u64, u64) -> u64 = u64::max;
+const REQ: bool = false;
+const OPT: bool = true;
+
+/// A counter's projection in [`Telemetry::registry`]. A metric of its own
+/// is named after its key, behind the prefix its section is mirrored under.
+enum Prom {
+    /// Not mirrored.
+    None,
+    /// A counter `{prefix}{key}_total` with this help text.
+    Counter(&'static str),
+    /// A gauge `{prefix}{key}` with this help text.
+    Gauge(&'static str),
+    /// The sample labelled with this `kind` in a shared counter family.
+    Kind(Family, &'static str),
+}
+
+/// A counter family several rows share: its name and help text.
+type Family = (&'static str, &'static str);
+
+const TRAPS_TOTAL: Family = ("squash_traps_total", "Service traps by kind");
+const REGION_CYCLES: Family =
+    ("squash_region_cycles_total", "Attributed service cycles per region");
+
+/// The table row for the struct field `$f`.
+macro_rules! field {
+    ($f:ident, $merge:ident, $optional:ident, $($prom:tt)+) => {
+        Field {
+            key: stringify!($f),
+            get: |t| t.$f as u64,
+            set: |t, v| {
+                t.$f = narrow(v, stringify!($f))?;
+                Ok(())
+            },
+            merge: $merge,
+            optional: $optional,
+            prom: Prom::$($prom)+,
+        }
+    };
+}
+
+/// The top-level drop counters, written and mirrored only when nonzero.
+const DROPS: &[Field<Telemetry>] = &[
+    field!(trace_drops, SUM, OPT, Counter("Events the bounded trace ring discarded")),
+    field!(sampler_drops, SUM, OPT, Counter("Samples the bounded sampling profiler discarded")),
+];
+
+/// `run`, after its hand-written `status`.
+const RUN: &[Field<RunMetrics>] = &[
+    field!(instructions, SUM, REQ, Counter("Instructions executed")),
+    field!(cycles, SUM, REQ, Counter("Cycles consumed (instructions + service charges)")),
+    field!(output_bytes, SUM, REQ, Counter("Bytes the guest wrote")),
+];
+
+const RT: &str = "Runtime decompressor counter";
+
+const RUNTIME: &[Field<RuntimeStats>] = &[
+    field!(decompressions, SUM, REQ, Counter(RT)),
+    field!(skipped, SUM, REQ, Counter(RT)),
+    field!(stub_hits, SUM, REQ, Counter(RT)),
+    field!(stub_allocs, SUM, REQ, Counter(RT)),
+    field!(restores, SUM, REQ, Counter(RT)),
+    field!(max_live_stubs, MAX, REQ, Gauge("High-water mark of live restore stubs")),
+    field!(bits_read, SUM, REQ, Counter(RT)),
+    field!(insts_written, SUM, REQ, Counter(RT)),
+    field!(cycles_charged, SUM, REQ, Counter(RT)),
+    field!(hits, SUM, REQ, Counter(RT)),
+    field!(misses, SUM, REQ, Counter(RT)),
+    field!(evictions, SUM, REQ, Counter(RT)),
+    field!(regions_verified, SUM, OPT, Counter(RT)),
+    field!(checksum_cycles, SUM, OPT, Counter(RT)),
+];
+
+/// `icache`, before its derived `miss_ratio`.
+const ICACHE: &[Field<ICacheStats>] = &[
+    field!(hits, SUM, REQ, Counter("Instruction-cache hits")),
+    field!(misses, SUM, REQ, Counter("Instruction-cache misses")),
+    field!(flushes, SUM, REQ, Counter("Instruction-cache flushes")),
+];
+
+/// A stage record, between its `name` and its `note`.
+const STAGE: &[Field<StageRecord>] = &[
+    field!(wall_ns, SUM, REQ, Counter("Stage wall-clock")),
+    field!(items, SUM, REQ, Counter("Stage items processed")),
+    field!(output_bytes, SUM, REQ, Counter("Stage artifact bytes")),
+];
+
+/// A region row, after its `region` key.
+const REGION: &[Field<RegionRow>] = &[
+    field!(decompressions, SUM, REQ, Counter("Decompressions per region")),
+    field!(hits, SUM, REQ, None),
+    field!(evictions, SUM, REQ, None),
+    field!(decomp_cycles, SUM, REQ, Kind(REGION_CYCLES, "decomp")),
+    field!(hit_cycles, SUM, REQ, Kind(REGION_CYCLES, "hit")),
+    field!(stub_cycles, SUM, REQ, Kind(REGION_CYCLES, "stub")),
+    field!(residency_cycles, SUM, REQ, Counter("Cycles the region was buffer-resident")),
+    field!(residency_intervals, SUM, REQ, None),
+];
+
+/// A call-site row, after its `site` key.
+const SITE: &[Field<SiteRow>] = &[
+    field!(creates, SUM, REQ, None),
+    field!(reuses, SUM, REQ, None),
+    field!(frees, SUM, REQ, None),
+    field!(cycles, SUM, REQ, None),
+];
+
+const TRAPS: &[Field<TrapCounts>] = &[
+    field!(create_stub, SUM, REQ, Kind(TRAPS_TOTAL, "create_stub")),
+    field!(entry, SUM, REQ, Kind(TRAPS_TOTAL, "entry")),
+    field!(restore, SUM, REQ, Kind(TRAPS_TOTAL, "restore")),
+];
+
+/// Attribution's scalars, after its tables.
+const ATTRIBUTION: &[Field<AttributionReport>] = &[
+    field!(attributed_cycles, SUM, REQ, None),
+    field!(end_cycle, MAX, REQ, None),
+];
+
+/// The section `t`'s counters as JSON members, in table order.
+fn members<T>(t: &T, fields: &[Field<T>]) -> Vec<(&'static str, Json)> {
+    fields.iter().map(|f| (f.key, int((f.get)(t)))).collect()
+}
+
+/// A section's counters read out of the JSON object `j`; the rest default.
+fn parse<T: Default>(j: &Json, fields: &[Field<T>]) -> Result<T, String> {
+    let mut t = T::default();
+    for f in fields {
+        let v = match req(j, f.key) {
+            Err(_) if f.optional => 0,
+            v => v?,
+        };
+        (f.set)(&mut t, v)?;
+    }
+    Ok(t)
+}
+
+/// Folds the section `x` into `acc`, each counter by its merge rule. A
+/// maximum is one of its inputs and every summed field is a `u64`, so no
+/// store fails to narrow.
+fn merge_into<T>(acc: &mut T, x: &T, fields: &[Field<T>]) {
+    for f in fields {
+        let _ = (f.set)(acc, (f.merge)((f.get)(acc), (f.get)(x)));
+    }
+}
+
+/// `t` as its JSON form writes it: every counter capped at `i64::MAX`, as
+/// [`int`] caps it.
+fn as_written<T: Clone>(t: &T, fields: &[Field<T>]) -> T {
+    let mut out = t.clone();
+    for f in fields {
+        let _ = (f.set)(&mut out, (f.get)(t).min(i64::MAX as u64));
+    }
+    out
+}
+
+/// Mirrors the section `t`'s counters onto `r` under `prefix`, each sample
+/// carrying `labels`.
+fn mirror<'a, T: 'a>(
+    r: &mut Registry,
+    prefix: &str,
+    labels: &[(&str, &str)],
+    t: &T,
+    fields: impl IntoIterator<Item = &'a Field<T>>,
+) {
+    for f in fields {
+        let v = (f.get)(t);
+        let name = |suffix| format!("{prefix}{}{suffix}", f.key);
+        match f.prom {
+            Prom::None => {}
+            Prom::Counter(help) => r.add_counter(&name("_total"), help, labels, v),
+            Prom::Gauge(help) => r.set_gauge(&name(""), help, labels, v as f64),
+            Prom::Kind((family, help), kind) => {
+                r.add_counter(family, help, &[labels, &[("kind", kind)]].concat(), v);
+            }
+        }
+    }
 }
 
 /// Attribution totals for one region: what its decompressions, cache hits
@@ -87,7 +301,7 @@ pub struct RegionRow {
 impl RegionRow {
     /// Total service cycles attributed to this region.
     pub fn total_cycles(&self) -> u64 {
-        self.decomp_cycles + self.hit_cycles + self.stub_cycles
+        self.decomp_cycles.saturating_add(self.hit_cycles).saturating_add(self.stub_cycles)
     }
 }
 
@@ -130,7 +344,7 @@ pub struct TrapCounts {
 impl TrapCounts {
     /// All traps.
     pub fn total(&self) -> u64 {
-        self.create_stub + self.entry + self.restore
+        self.create_stub.saturating_add(self.entry).saturating_add(self.restore)
     }
 }
 
@@ -317,90 +531,35 @@ impl AttributionReport {
     }
 
     fn to_json(&self) -> Json {
-        obj(vec![
-            (
-                "regions",
-                Json::Arr(
-                    self.regions
-                        .iter()
-                        .map(|r| {
-                            obj(vec![
-                                ("region", int(r.region as u64)),
-                                ("decompressions", int(r.decompressions)),
-                                ("hits", int(r.hits)),
-                                ("evictions", int(r.evictions)),
-                                ("decomp_cycles", int(r.decomp_cycles)),
-                                ("hit_cycles", int(r.hit_cycles)),
-                                ("stub_cycles", int(r.stub_cycles)),
-                                ("residency_cycles", int(r.residency_cycles)),
-                                ("residency_intervals", int(r.residency_intervals)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "sites",
-                Json::Arr(
-                    self.sites
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("site", int(s.site as u64)),
-                                ("creates", int(s.creates)),
-                                ("reuses", int(s.reuses)),
-                                ("frees", int(s.frees)),
-                                ("cycles", int(s.cycles)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+        let keyed = |key, id: u64, mut row: Vec<(&'static str, Json)>| {
+            row.insert(0, (key, int(id)));
+            obj(row)
+        };
+        let regions =
+            self.regions.iter().map(|r| keyed("region", r.region.into(), members(r, REGION)));
+        let sites = self.sites.iter().map(|s| keyed("site", s.site.into(), members(s, SITE)));
+        let mut fields = vec![
+            ("regions", Json::Arr(regions.collect())),
+            ("sites", Json::Arr(sites.collect())),
             (
                 "trap_interarrival",
                 Json::Arr(self.interarrival.iter().map(|&n| int(n)).collect()),
             ),
-            (
-                "traps",
-                obj(vec![
-                    ("create_stub", int(self.traps.create_stub)),
-                    ("entry", int(self.traps.entry)),
-                    ("restore", int(self.traps.restore)),
-                ]),
-            ),
-            ("attributed_cycles", int(self.attributed_cycles)),
-            ("end_cycle", int(self.end_cycle)),
-        ])
+            ("traps", obj(members(&self.traps, TRAPS))),
+        ];
+        fields.extend(members(self, ATTRIBUTION));
+        obj(fields)
     }
 
     fn from_json(v: &Json) -> Result<AttributionReport, String> {
-        let req = |j: &Json, key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("attribution: missing or bad \"{key}\""))
-        };
-        let mut report = AttributionReport::default();
+        let mut report: AttributionReport = parse(v, ATTRIBUTION)?;
         for r in v.get("regions").and_then(Json::as_arr).unwrap_or(&[]) {
-            report.regions.push(RegionRow {
-                region: narrow(req(r, "region")?, "region")?,
-                decompressions: req(r, "decompressions")?,
-                hits: req(r, "hits")?,
-                evictions: req(r, "evictions")?,
-                decomp_cycles: req(r, "decomp_cycles")?,
-                hit_cycles: req(r, "hit_cycles")?,
-                stub_cycles: req(r, "stub_cycles")?,
-                residency_cycles: req(r, "residency_cycles")?,
-                residency_intervals: req(r, "residency_intervals")?,
-            });
+            let region = narrow(req(r, "region")?, "region")?;
+            report.regions.push(RegionRow { region, ..parse(r, REGION)? });
         }
         for s in v.get("sites").and_then(Json::as_arr).unwrap_or(&[]) {
-            report.sites.push(SiteRow {
-                site: narrow(req(s, "site")?, "site")?,
-                creates: req(s, "creates")?,
-                reuses: req(s, "reuses")?,
-                frees: req(s, "frees")?,
-                cycles: req(s, "cycles")?,
-            });
+            let site = narrow(req(s, "site")?, "site")?;
+            report.sites.push(SiteRow { site, ..parse(s, SITE)? });
         }
         for b in v.get("trap_interarrival").and_then(Json::as_arr).unwrap_or(&[]) {
             report
@@ -408,12 +567,8 @@ impl AttributionReport {
                 .push(b.as_u64().ok_or("attribution: bad histogram bucket")?);
         }
         if let Some(t) = v.get("traps") {
-            report.traps.create_stub = req(t, "create_stub")?;
-            report.traps.entry = req(t, "entry")?;
-            report.traps.restore = req(t, "restore")?;
+            report.traps = parse(t, TRAPS)?;
         }
-        report.attributed_cycles = req(v, "attributed_cycles")?;
-        report.end_cycle = req(v, "end_cycle")?;
         Ok(report)
     }
 }
@@ -541,7 +696,8 @@ pub struct Telemetry {
     /// consumer that the trace file is a tail, not the whole run.
     pub trace_drops: u64,
     /// Samples the bounded sampling profiler discarded once its buffer
-    /// filled (`squashrun --sample-every` with `--sample-max`). Same
+    /// filled: `squashrun --sample-every` keeps at most
+    /// [`squash_vm::DEFAULT_SAMPLE_CAP`] (2^20) samples. Same
     /// additive-schema contract as `trace_drops`: `0` parses from (and
     /// writes as) an absent field, so old documents are unaffected; nonzero
     /// means the flame data is a prefix, not the whole run. Merge sums, so
@@ -555,7 +711,14 @@ impl Telemetry {
     /// `untracked` is whatever part of the runtime's charge the attribution
     /// tables cannot explain — 0 in practice, surfaced rather than hidden.
     pub fn coverage(&self) -> (u64, u64, u64) {
-        let charged = self.runtime.map_or(0, |r| r.cycles_charged);
+        self.coverage_capped(u64::MAX)
+    }
+
+    /// [`Telemetry::coverage`] of the counters capped at `cap`. The JSON
+    /// form passes `i64::MAX`, the cap [`int`] writes counters under, so the
+    /// coverage a document states is the one it reads back to.
+    fn coverage_capped(&self, cap: u64) -> (u64, u64, u64) {
+        let charged = self.runtime.map_or(0, |r| r.cycles_charged).min(cap);
         let attributed = self
             .attribution
             .as_ref()
@@ -592,49 +755,21 @@ impl Telemetry {
             }
             // A previously-merged input counts for the documents behind it.
             sat(&mut out.docs, d.docs.max(1));
-            sat(&mut out.trace_drops, d.trace_drops);
-            sat(&mut out.sampler_drops, d.sampler_drops);
+            merge_into(&mut out, d, DROPS);
             if let Some(run) = d.run {
                 match &mut out.run {
                     None => out.run = Some(run),
                     Some(acc) => {
                         acc.status = acc.status.max(run.status);
-                        sat(&mut acc.instructions, run.instructions);
-                        sat(&mut acc.cycles, run.cycles);
-                        sat(&mut acc.output_bytes, run.output_bytes);
+                        merge_into(acc, &run, RUN);
                     }
                 }
             }
-            if let Some(rt) = d.runtime {
-                match &mut out.runtime {
-                    None => out.runtime = Some(rt),
-                    Some(acc) => {
-                        sat(&mut acc.decompressions, rt.decompressions);
-                        sat(&mut acc.skipped, rt.skipped);
-                        sat(&mut acc.stub_hits, rt.stub_hits);
-                        sat(&mut acc.stub_allocs, rt.stub_allocs);
-                        sat(&mut acc.restores, rt.restores);
-                        acc.max_live_stubs = acc.max_live_stubs.max(rt.max_live_stubs);
-                        sat(&mut acc.bits_read, rt.bits_read);
-                        sat(&mut acc.insts_written, rt.insts_written);
-                        sat(&mut acc.cycles_charged, rt.cycles_charged);
-                        sat(&mut acc.hits, rt.hits);
-                        sat(&mut acc.misses, rt.misses);
-                        sat(&mut acc.evictions, rt.evictions);
-                        sat(&mut acc.regions_verified, rt.regions_verified);
-                        sat(&mut acc.checksum_cycles, rt.checksum_cycles);
-                    }
-                }
+            if let Some(rt) = &d.runtime {
+                merge_into(out.runtime.get_or_insert_with(RuntimeStats::default), rt, RUNTIME);
             }
-            if let Some(ic) = d.icache {
-                match &mut out.icache {
-                    None => out.icache = Some(ic),
-                    Some(acc) => {
-                        sat(&mut acc.hits, ic.hits);
-                        sat(&mut acc.misses, ic.misses);
-                        sat(&mut acc.flushes, ic.flushes);
-                    }
-                }
+            if let Some(ic) = &d.icache {
+                merge_into(out.icache.get_or_insert_with(ICacheStats::default), ic, ICACHE);
             }
             for s in &d.stages {
                 match stages.get_mut(&s.name) {
@@ -642,9 +777,7 @@ impl Telemetry {
                         stages.insert(s.name.clone(), s.clone());
                     }
                     Some(acc) => {
-                        sat(&mut acc.wall_ns, s.wall_ns);
-                        sat(&mut acc.items, s.items);
-                        sat(&mut acc.output_bytes, s.output_bytes);
+                        merge_into(acc, s, STAGE);
                         // Smallest non-empty note wins: symmetric, so merge
                         // order cannot change the result.
                         if !s.note.is_empty() && (acc.note.is_empty() || s.note < acc.note) {
@@ -662,23 +795,13 @@ impl Telemetry {
                     let row = regions
                         .entry(r.region)
                         .or_insert_with(|| RegionRow { region: r.region, ..RegionRow::default() });
-                    sat(&mut row.decompressions, r.decompressions);
-                    sat(&mut row.hits, r.hits);
-                    sat(&mut row.evictions, r.evictions);
-                    sat(&mut row.decomp_cycles, r.decomp_cycles);
-                    sat(&mut row.hit_cycles, r.hit_cycles);
-                    sat(&mut row.stub_cycles, r.stub_cycles);
-                    sat(&mut row.residency_cycles, r.residency_cycles);
-                    sat(&mut row.residency_intervals, r.residency_intervals);
+                    merge_into(row, r, REGION);
                 }
                 for s in &a.sites {
                     let row = sites
                         .entry(s.site)
                         .or_insert_with(|| SiteRow { site: s.site, ..SiteRow::default() });
-                    sat(&mut row.creates, s.creates);
-                    sat(&mut row.reuses, s.reuses);
-                    sat(&mut row.frees, s.frees);
-                    sat(&mut row.cycles, s.cycles);
+                    merge_into(row, s, SITE);
                 }
                 if acc.interarrival.len() < a.interarrival.len() {
                     acc.interarrival.resize(a.interarrival.len(), 0);
@@ -686,11 +809,8 @@ impl Telemetry {
                 for (bucket, &n) in a.interarrival.iter().enumerate() {
                     sat(&mut acc.interarrival[bucket], n);
                 }
-                sat(&mut acc.traps.create_stub, a.traps.create_stub);
-                sat(&mut acc.traps.entry, a.traps.entry);
-                sat(&mut acc.traps.restore, a.traps.restore);
-                sat(&mut acc.attributed_cycles, a.attributed_cycles);
-                acc.end_cycle = acc.end_cycle.max(a.end_cycle);
+                merge_into(&mut acc.traps, &a.traps, TRAPS);
+                merge_into(acc, a, ATTRIBUTION);
             }
         }
         if let Some(mut a) = attr {
@@ -714,75 +834,32 @@ impl Telemetry {
         if self.docs > 0 {
             fields.push(("docs", int(self.docs)));
         }
-        // Additive (schema-compatible) field: omitted when zero, so every
+        // Additive (schema-compatible) fields: omitted when zero, so every
         // pre-drop-count document and byte-for-byte golden test still holds.
-        if self.trace_drops > 0 {
-            fields.push(("trace_drops", int(self.trace_drops)));
+        fields.extend(members(self, DROPS).into_iter().filter(|(_, n)| *n != Json::Int(0)));
+        if let Some(run) = &self.run {
+            let mut section = vec![("status", Json::Int(run.status))];
+            section.extend(members(run, RUN));
+            fields.push(("run", obj(section)));
         }
-        if self.sampler_drops > 0 {
-            fields.push(("sampler_drops", int(self.sampler_drops)));
+        if let Some(rt) = &self.runtime {
+            fields.push(("runtime", obj(members(rt, RUNTIME))));
         }
-        if let Some(run) = self.run {
-            fields.push((
-                "run",
-                obj(vec![
-                    ("status", Json::Int(run.status)),
-                    ("instructions", int(run.instructions)),
-                    ("cycles", int(run.cycles)),
-                    ("output_bytes", int(run.output_bytes)),
-                ]),
-            ));
-        }
-        if let Some(rt) = self.runtime {
-            fields.push((
-                "runtime",
-                obj(vec![
-                    ("decompressions", int(rt.decompressions)),
-                    ("skipped", int(rt.skipped)),
-                    ("stub_hits", int(rt.stub_hits)),
-                    ("stub_allocs", int(rt.stub_allocs)),
-                    ("restores", int(rt.restores)),
-                    ("max_live_stubs", int(rt.max_live_stubs as u64)),
-                    ("bits_read", int(rt.bits_read)),
-                    ("insts_written", int(rt.insts_written)),
-                    ("cycles_charged", int(rt.cycles_charged)),
-                    ("hits", int(rt.hits)),
-                    ("misses", int(rt.misses)),
-                    ("evictions", int(rt.evictions)),
-                    ("regions_verified", int(rt.regions_verified)),
-                    ("checksum_cycles", int(rt.checksum_cycles)),
-                ]),
-            ));
-        }
-        if let Some(ic) = self.icache {
-            fields.push((
-                "icache",
-                obj(vec![
-                    ("hits", int(ic.hits)),
-                    ("misses", int(ic.misses)),
-                    ("flushes", int(ic.flushes)),
-                    ("miss_ratio", Json::Num(ic.miss_ratio())),
-                ]),
-            ));
+        if let Some(ic) = &self.icache {
+            let mut section = members(ic, ICACHE);
+            // The ratio of the counts as written, which is what the
+            // document reads back to.
+            section.push(("miss_ratio", Json::Num(as_written(ic, ICACHE).miss_ratio())));
+            fields.push(("icache", obj(section)));
         }
         if !self.stages.is_empty() {
-            fields.push((
-                "stages",
-                Json::Arr(
-                    self.stages
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("name", Json::Str(s.name.clone())),
-                                ("wall_ns", int(s.wall_ns)),
-                                ("items", int(s.items)),
-                                ("output_bytes", int(s.output_bytes)),
-                                ("note", Json::Str(s.note.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
+            let stage = |s: &StageRecord| {
+                let mut row = vec![("name", Json::Str(s.name.clone()))];
+                row.extend(members(s, STAGE));
+                row.push(("note", Json::Str(s.note.clone())));
+                obj(row)
+            };
+            fields.push(("stages", Json::Arr(self.stages.iter().map(stage).collect())));
         }
         if !self.faults.is_empty() {
             fields.push((
@@ -802,7 +879,7 @@ impl Telemetry {
         }
         if let Some(attr) = &self.attribution {
             fields.push(("attribution", attr.to_json()));
-            let (attributed, _, untracked) = self.coverage();
+            let (attributed, _, untracked) = self.coverage_capped(i64::MAX as u64);
             fields.push((
                 "coverage",
                 obj(vec![
@@ -834,12 +911,6 @@ impl Telemetry {
                 "telemetry: schema {schema} is newer than supported ({SCHEMA_VERSION})"
             ));
         }
-        let req = |j: &Json, key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("telemetry: missing or bad \"{key}\""))
-        };
-        let opt = |j: &Json, key: &str| -> u64 { j.get(key).and_then(Json::as_u64).unwrap_or(0) };
         let mut t = Telemetry {
             name: v
                 .get("name")
@@ -849,66 +920,25 @@ impl Telemetry {
             // Absent in every pre-merge (schema 1) document and in plain
             // single-run documents: both read back as 0.
             docs: v.get("docs").and_then(Json::as_u64).unwrap_or(0),
-            // Additive field: absent in old documents, reads as zero.
-            trace_drops: v.get("trace_drops").and_then(Json::as_u64).unwrap_or(0),
-            sampler_drops: v.get("sampler_drops").and_then(Json::as_u64).unwrap_or(0),
-            ..Telemetry::default()
+            ..parse(v, DROPS)?
         };
         if let Some(run) = v.get("run") {
-            t.run = Some(RunMetrics {
-                status: run
-                    .get("status")
-                    .and_then(Json::as_i64)
-                    .ok_or("telemetry: bad \"status\"")?,
-                instructions: req(run, "instructions")?,
-                cycles: req(run, "cycles")?,
-                output_bytes: req(run, "output_bytes")?,
-            });
+            let status =
+                run.get("status").and_then(Json::as_i64).ok_or("telemetry: bad \"status\"")?;
+            t.run = Some(RunMetrics { status, ..parse(run, RUN)? });
         }
         if let Some(rt) = v.get("runtime") {
-            t.runtime = Some(RuntimeStats {
-                decompressions: req(rt, "decompressions")?,
-                skipped: req(rt, "skipped")?,
-                stub_hits: req(rt, "stub_hits")?,
-                stub_allocs: req(rt, "stub_allocs")?,
-                restores: req(rt, "restores")?,
-                max_live_stubs: narrow(req(rt, "max_live_stubs")?, "max_live_stubs")?,
-                bits_read: req(rt, "bits_read")?,
-                insts_written: req(rt, "insts_written")?,
-                cycles_charged: req(rt, "cycles_charged")?,
-                hits: req(rt, "hits")?,
-                misses: req(rt, "misses")?,
-                evictions: req(rt, "evictions")?,
-                // Integrity counters postdate the first schema; absent keys
-                // read as zero so old documents still parse. Retired keys
-                // in old documents are ignored like any unknown key.
-                regions_verified: opt(rt, "regions_verified"),
-                checksum_cycles: opt(rt, "checksum_cycles"),
-            });
+            // Retired keys in old documents are ignored like any unknown key.
+            t.runtime = Some(parse(rt, RUNTIME)?);
         }
         if let Some(ic) = v.get("icache") {
-            let mut stats = ICacheStats::default();
-            stats.hits = req(ic, "hits")?;
-            stats.misses = req(ic, "misses")?;
-            stats.flushes = req(ic, "flushes")?;
-            t.icache = Some(stats);
+            t.icache = Some(parse(ic, ICACHE)?);
         }
         for s in v.get("stages").and_then(Json::as_arr).unwrap_or(&[]) {
-            t.stages.push(StageRecord {
-                name: s
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("telemetry: stage without a name")?
-                    .to_string(),
-                wall_ns: req(s, "wall_ns")?,
-                items: req(s, "items")?,
-                output_bytes: req(s, "output_bytes")?,
-                note: s
-                    .get("note")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-            });
+            let name =
+                s.get("name").and_then(Json::as_str).ok_or("telemetry: stage without a name")?;
+            let note = s.get("note").and_then(Json::as_str).unwrap_or_default();
+            t.stages.push(StageRecord { name: name.into(), note: note.into(), ..parse(s, STAGE)? });
         }
         for f in v.get("faults").and_then(Json::as_arr).unwrap_or(&[]) {
             t.faults.push(FaultCount {
@@ -924,6 +954,86 @@ impl Telemetry {
             t.attribution = Some(AttributionReport::from_json(attr)?);
         }
         Ok(t)
+    }
+
+    /// Mirrors the document onto a metrics [`Registry`] for `squashmon
+    /// --prom`: every counter with a Prometheus projection in its table, the
+    /// trap inter-arrival log2 buckets as a histogram, and the document's
+    /// name on a `squash_info` gauge label. The JSON schema itself is
+    /// untouched; this is a read-only projection.
+    pub fn registry(&self) -> Registry {
+        let mut r = Registry::new();
+        r.set_gauge(
+            "squash_info",
+            "What was measured; value is always 1",
+            &[("name", &self.name)],
+            1.0,
+        );
+        if self.docs > 0 {
+            r.set_gauge(
+                "squash_telemetry_docs",
+                "Run documents folded into this aggregate",
+                &[],
+                self.docs as f64,
+            );
+        }
+        mirror(&mut r, "squash_", &[], self, DROPS.iter().filter(|f| (f.get)(self) > 0));
+        if let Some(run) = &self.run {
+            r.set_gauge("squash_run_status", "Guest exit status", &[], run.status as f64);
+            mirror(&mut r, "squash_run_", &[], run, RUN);
+        }
+        if let Some(rt) = &self.runtime {
+            mirror(&mut r, "squash_runtime_", &[], rt, RUNTIME);
+        }
+        if let Some(ic) = &self.icache {
+            mirror(&mut r, "squash_icache_", &[], ic, ICACHE);
+            r.set_gauge("squash_icache_miss_ratio", "Miss ratio", &[], ic.miss_ratio());
+        }
+        for s in &self.stages {
+            mirror(&mut r, "squash_stage_", &[("stage", &s.name)], s, STAGE);
+        }
+        for f in &self.faults {
+            r.add_counter(
+                "squash_faults_total",
+                "Machine-check faults by kind",
+                &[("kind", &f.kind)],
+                f.count,
+            );
+        }
+        if let Some(attr) = &self.attribution {
+            mirror(&mut r, "", &[], &attr.traps, TRAPS);
+            for row in &attr.regions {
+                let region = row.region.to_string();
+                mirror(&mut r, "squash_region_", &[("region", &region)], row, REGION);
+            }
+            if !attr.interarrival.is_empty() {
+                // The attribution buckets are log2: bucket 0 holds zero deltas,
+                // bucket i ≥ 1 holds [2^(i-1), 2^i). Re-expose them under the
+                // conservative upper bound 2^i (every delta in bucket i is
+                // ≤ 2^i), with the sum estimated from bucket lower bounds —
+                // the native buckets do not keep exact values. Bounds stop
+                // at 2^63: +Inf takes bucket 64 and any bucket a forged
+                // document carries past it.
+                let (buckets, beyond) = attr.interarrival.split_at(attr.interarrival.len().min(64));
+                let bounds: Vec<f64> = (0..buckets.len()).map(|i| (1u64 << i) as f64).collect();
+                let mut counts = buckets.to_vec();
+                counts.push(beyond.iter().fold(0, |n: u64, &c| n.saturating_add(c)));
+                let sum: f64 = buckets
+                    .iter()
+                    .enumerate()
+                    .skip(1)
+                    .map(|(i, &c)| c as f64 * (1u64 << (i - 1)) as f64)
+                    .sum();
+                r.set_histogram(
+                    "squash_trap_interarrival_cycles",
+                    "Cycles between consecutive service traps \
+                     (log2 buckets; bounds are conservative)",
+                    &[],
+                    Histogram::from_parts(&bounds, counts, sum),
+                );
+            }
+        }
+        r
     }
 
     /// Renders the human-readable attribution report (`squashrun --report`):
@@ -1463,5 +1573,430 @@ mod tests {
         let report = observers.attribution.finish(100);
         assert_eq!(report.regions.len(), 1);
         assert_eq!(report.regions[0].decompressions, 1);
+    }
+
+    /// A document carrying every section: both drop counters and `docs`, a
+    /// run with a negative status, runtime and icache counters, two stages,
+    /// two fault kinds, two regions, one call site, traps and a histogram.
+    fn full_doc() -> Telemetry {
+        let mut icache = ICacheStats::default();
+        icache.hits = 900;
+        icache.misses = 100;
+        icache.flushes = 7;
+        let region = |region, base: u64| RegionRow {
+            region,
+            decompressions: base,
+            hits: base + 1,
+            evictions: base + 2,
+            decomp_cycles: base * 100,
+            hit_cycles: base * 10,
+            stub_cycles: base * 5,
+            residency_cycles: base * 1000,
+            residency_intervals: base + 3,
+        };
+        let stage = |name: &str, wall_ns, items, output_bytes, note: &str| StageRecord {
+            name: name.into(),
+            wall_ns,
+            items,
+            output_bytes,
+            note: note.into(),
+        };
+        Telemetry {
+            name: "a".into(),
+            run: Some(RunMetrics { status: -2, instructions: 100, cycles: 150, output_bytes: 5 }),
+            runtime: Some(RuntimeStats {
+                decompressions: 7,
+                skipped: 1,
+                stub_hits: 2,
+                stub_allocs: 3,
+                restores: 4,
+                max_live_stubs: 5,
+                bits_read: 800,
+                insts_written: 90,
+                cycles_charged: 1200,
+                hits: 6,
+                misses: 7,
+                evictions: 8,
+                regions_verified: 9,
+                checksum_cycles: 64,
+            }),
+            icache: Some(icache),
+            stages: vec![
+                stage("encode", 1500, 12, 4096, "regions / blob bytes"),
+                stage("plan", 300, 4, 0, ""),
+            ],
+            attribution: Some(AttributionReport {
+                regions: vec![region(1, 2), region(4, 3)],
+                sites: vec![SiteRow {
+                    site: (1 << 16) | 4,
+                    creates: 1,
+                    reuses: 2,
+                    frees: 3,
+                    cycles: 40,
+                }],
+                interarrival: vec![4, 5, 6],
+                traps: TrapCounts { create_stub: 1, entry: 2, restore: 3 },
+                attributed_cycles: 1100,
+                end_cycle: 2000,
+            }),
+            faults: vec![
+                FaultCount { kind: "region_checksum".into(), count: 2 },
+                FaultCount { kind: "truncated_stream".into(), count: 1 },
+            ],
+            docs: 2,
+            trace_drops: 3,
+            sampler_drops: 4,
+        }
+    }
+
+    /// The Prometheus mirror of a document with every section, pinned byte
+    /// for byte.
+    #[test]
+    fn registry_mirrors_counters_and_histogram() {
+        assert_eq!(
+            full_doc().registry().to_prometheus(),
+            "# HELP squash_faults_total Machine-check faults by kind\n\
+             # TYPE squash_faults_total counter\n\
+             squash_faults_total{kind=\"region_checksum\"} 2\n\
+             squash_faults_total{kind=\"truncated_stream\"} 1\n\
+             # HELP squash_icache_flushes_total Instruction-cache flushes\n\
+             # TYPE squash_icache_flushes_total counter\n\
+             squash_icache_flushes_total 7\n\
+             # HELP squash_icache_hits_total Instruction-cache hits\n\
+             # TYPE squash_icache_hits_total counter\n\
+             squash_icache_hits_total 900\n\
+             # HELP squash_icache_miss_ratio Miss ratio\n\
+             # TYPE squash_icache_miss_ratio gauge\n\
+             squash_icache_miss_ratio 0.1\n\
+             # HELP squash_icache_misses_total Instruction-cache misses\n\
+             # TYPE squash_icache_misses_total counter\n\
+             squash_icache_misses_total 100\n\
+             # HELP squash_info What was measured; value is always 1\n\
+             # TYPE squash_info gauge\n\
+             squash_info{name=\"a\"} 1\n\
+             # HELP squash_region_cycles_total Attributed service cycles per region\n\
+             # TYPE squash_region_cycles_total counter\n\
+             squash_region_cycles_total{kind=\"decomp\",region=\"1\"} 200\n\
+             squash_region_cycles_total{kind=\"decomp\",region=\"4\"} 300\n\
+             squash_region_cycles_total{kind=\"hit\",region=\"1\"} 20\n\
+             squash_region_cycles_total{kind=\"hit\",region=\"4\"} 30\n\
+             squash_region_cycles_total{kind=\"stub\",region=\"1\"} 10\n\
+             squash_region_cycles_total{kind=\"stub\",region=\"4\"} 15\n\
+             # HELP squash_region_decompressions_total Decompressions per region\n\
+             # TYPE squash_region_decompressions_total counter\n\
+             squash_region_decompressions_total{region=\"1\"} 2\n\
+             squash_region_decompressions_total{region=\"4\"} 3\n\
+             # HELP squash_region_residency_cycles_total Cycles the region was buffer-resident\n\
+             # TYPE squash_region_residency_cycles_total counter\n\
+             squash_region_residency_cycles_total{region=\"1\"} 2000\n\
+             squash_region_residency_cycles_total{region=\"4\"} 3000\n\
+             # HELP squash_run_cycles_total Cycles consumed (instructions + service charges)\n\
+             # TYPE squash_run_cycles_total counter\n\
+             squash_run_cycles_total 150\n\
+             # HELP squash_run_instructions_total Instructions executed\n\
+             # TYPE squash_run_instructions_total counter\n\
+             squash_run_instructions_total 100\n\
+             # HELP squash_run_output_bytes_total Bytes the guest wrote\n\
+             # TYPE squash_run_output_bytes_total counter\n\
+             squash_run_output_bytes_total 5\n\
+             # HELP squash_run_status Guest exit status\n\
+             # TYPE squash_run_status gauge\n\
+             squash_run_status -2\n\
+             # HELP squash_runtime_bits_read_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_bits_read_total counter\n\
+             squash_runtime_bits_read_total 800\n\
+             # HELP squash_runtime_checksum_cycles_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_checksum_cycles_total counter\n\
+             squash_runtime_checksum_cycles_total 64\n\
+             # HELP squash_runtime_cycles_charged_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_cycles_charged_total counter\n\
+             squash_runtime_cycles_charged_total 1200\n\
+             # HELP squash_runtime_decompressions_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_decompressions_total counter\n\
+             squash_runtime_decompressions_total 7\n\
+             # HELP squash_runtime_evictions_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_evictions_total counter\n\
+             squash_runtime_evictions_total 8\n\
+             # HELP squash_runtime_hits_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_hits_total counter\n\
+             squash_runtime_hits_total 6\n\
+             # HELP squash_runtime_insts_written_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_insts_written_total counter\n\
+             squash_runtime_insts_written_total 90\n\
+             # HELP squash_runtime_max_live_stubs High-water mark of live restore stubs\n\
+             # TYPE squash_runtime_max_live_stubs gauge\n\
+             squash_runtime_max_live_stubs 5\n\
+             # HELP squash_runtime_misses_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_misses_total counter\n\
+             squash_runtime_misses_total 7\n\
+             # HELP squash_runtime_regions_verified_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_regions_verified_total counter\n\
+             squash_runtime_regions_verified_total 9\n\
+             # HELP squash_runtime_restores_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_restores_total counter\n\
+             squash_runtime_restores_total 4\n\
+             # HELP squash_runtime_skipped_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_skipped_total counter\n\
+             squash_runtime_skipped_total 1\n\
+             # HELP squash_runtime_stub_allocs_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_stub_allocs_total counter\n\
+             squash_runtime_stub_allocs_total 3\n\
+             # HELP squash_runtime_stub_hits_total Runtime decompressor counter\n\
+             # TYPE squash_runtime_stub_hits_total counter\n\
+             squash_runtime_stub_hits_total 2\n\
+             # HELP squash_sampler_drops_total Samples the bounded sampling profiler discarded\n\
+             # TYPE squash_sampler_drops_total counter\n\
+             squash_sampler_drops_total 4\n\
+             # HELP squash_stage_items_total Stage items processed\n\
+             # TYPE squash_stage_items_total counter\n\
+             squash_stage_items_total{stage=\"encode\"} 12\n\
+             squash_stage_items_total{stage=\"plan\"} 4\n\
+             # HELP squash_stage_output_bytes_total Stage artifact bytes\n\
+             # TYPE squash_stage_output_bytes_total counter\n\
+             squash_stage_output_bytes_total{stage=\"encode\"} 4096\n\
+             squash_stage_output_bytes_total{stage=\"plan\"} 0\n\
+             # HELP squash_stage_wall_ns_total Stage wall-clock\n\
+             # TYPE squash_stage_wall_ns_total counter\n\
+             squash_stage_wall_ns_total{stage=\"encode\"} 1500\n\
+             squash_stage_wall_ns_total{stage=\"plan\"} 300\n\
+             # HELP squash_telemetry_docs Run documents folded into this aggregate\n\
+             # TYPE squash_telemetry_docs gauge\n\
+             squash_telemetry_docs 2\n\
+             # HELP squash_trace_drops_total Events the bounded trace ring discarded\n\
+             # TYPE squash_trace_drops_total counter\n\
+             squash_trace_drops_total 3\n\
+             # HELP squash_trap_interarrival_cycles Cycles between consecutive service traps \
+             (log2 buckets; bounds are conservative)\n\
+             # TYPE squash_trap_interarrival_cycles histogram\n\
+             squash_trap_interarrival_cycles_bucket{le=\"1\"} 4\n\
+             squash_trap_interarrival_cycles_bucket{le=\"2\"} 9\n\
+             squash_trap_interarrival_cycles_bucket{le=\"4\"} 15\n\
+             squash_trap_interarrival_cycles_bucket{le=\"+Inf\"} 15\n\
+             squash_trap_interarrival_cycles_sum 17\n\
+             squash_trap_interarrival_cycles_count 15\n\
+             # HELP squash_traps_total Service traps by kind\n\
+             # TYPE squash_traps_total counter\n\
+             squash_traps_total{kind=\"create_stub\"} 1\n\
+             squash_traps_total{kind=\"entry\"} 2\n\
+             squash_traps_total{kind=\"restore\"} 3\n"
+        );
+    }
+
+    #[test]
+    fn empty_document_mirrors_to_info_only() {
+        assert_eq!(
+            Telemetry::default().registry().to_prometheus(),
+            "# HELP squash_info What was measured; value is always 1\n\
+             # TYPE squash_info gauge\n\
+             squash_info{name=\"\"} 1\n"
+        );
+    }
+
+    /// Two full documents whose region, site, stage and fault keys both
+    /// overlap and differ, with different high-water marks, statuses and
+    /// notes, merged and pinned byte for byte.
+    #[test]
+    fn merged_document_is_pinned() {
+        let a = full_doc();
+        let mut b = full_doc();
+        b.name = "b".into();
+        b.docs = 0;
+        b.trace_drops = 0;
+        b.run.as_mut().unwrap().status = 3;
+        b.runtime.as_mut().unwrap().max_live_stubs = 2;
+        b.stages[0].note = "blob bytes".into();
+        b.stages[1].name = "layout".into();
+        b.faults[1].kind = "deadline_exceeded".into();
+        let attr = b.attribution.as_mut().unwrap();
+        attr.regions[1].region = 2;
+        let site = SiteRow { site: (2 << 16) | 8, creates: 5, reuses: 0, frees: 5, cycles: 9 };
+        attr.sites.push(site);
+        attr.interarrival = vec![1, 0, 0, 7];
+        attr.end_cycle = 2500;
+        let merged = Telemetry::merge(&[a.clone(), b.clone()]);
+        assert_eq!(Telemetry::merge(&[b, a]), merged);
+        assert_eq!(
+            merged.to_json_string(),
+            "{\"schema\":2,\"name\":\"a+b\",\"docs\":3,\"trace_drops\":3,\"sampler_drops\":8,\
+             \"run\":{\"status\":3,\"instructions\":200,\"cycles\":300,\"output_bytes\":10},\
+             \"runtime\":{\"decompressions\":14,\"skipped\":2,\"stub_hits\":4,\"stub_allocs\":6,\
+             \"restores\":8,\"max_live_stubs\":5,\"bits_read\":1600,\"insts_written\":180,\
+             \"cycles_charged\":2400,\"hits\":12,\"misses\":14,\"evictions\":16,\
+             \"regions_verified\":18,\"checksum_cycles\":128},\"icache\":{\"hits\":1800,\
+             \"misses\":200,\"flushes\":14,\"miss_ratio\":0.1},\"stages\":[{\"name\":\"encode\",\
+             \"wall_ns\":3000,\"items\":24,\"output_bytes\":8192,\"note\":\"blob bytes\"},\
+             {\"name\":\"layout\",\"wall_ns\":300,\"items\":4,\"output_bytes\":0,\"note\":\"\"},\
+             {\"name\":\"plan\",\"wall_ns\":300,\"items\":4,\"output_bytes\":0,\"note\":\"\"}],\
+             \"faults\":[{\"kind\":\"deadline_exceeded\",\"count\":1},\
+             {\"kind\":\"region_checksum\",\"count\":4},{\"kind\":\"truncated_stream\",\
+             \"count\":1}],\"attribution\":{\"regions\":[{\"region\":1,\"decompressions\":4,\
+             \"hits\":6,\"evictions\":8,\"decomp_cycles\":400,\"hit_cycles\":40,\
+             \"stub_cycles\":20,\"residency_cycles\":4000,\"residency_intervals\":10},\
+             {\"region\":2,\"decompressions\":3,\"hits\":4,\"evictions\":5,\"decomp_cycles\":300,\
+             \"hit_cycles\":30,\"stub_cycles\":15,\"residency_cycles\":3000,\
+             \"residency_intervals\":6},{\"region\":4,\"decompressions\":3,\"hits\":4,\
+             \"evictions\":5,\"decomp_cycles\":300,\"hit_cycles\":30,\"stub_cycles\":15,\
+             \"residency_cycles\":3000,\"residency_intervals\":6}],\"sites\":[{\"site\":65540,\
+             \"creates\":2,\"reuses\":4,\"frees\":6,\"cycles\":80},{\"site\":131080,\"creates\":5,\
+             \"reuses\":0,\"frees\":5,\"cycles\":9}],\"trap_interarrival\":[5,5,6,7],\
+             \"traps\":{\"create_stub\":2,\"entry\":4,\"restore\":6},\"attributed_cycles\":2200,\
+             \"end_cycle\":2500},\"coverage\":{\"attributed_cycles\":2200,\
+             \"untracked_cycles\":200}}"
+        );
+    }
+
+    /// A counter drawn from zero, a small value, or a value near `i64::MAX`.
+    fn counter(rng: &mut squash_testkit::Rng) -> u64 {
+        match rng.below(3) {
+            0 => 0,
+            1 => rng.below(1000),
+            _ => i64::MAX as u64 - rng.below(4),
+        }
+    }
+
+    /// A random document: each section present or not, counters from
+    /// [`counter`], keys from small pools so merged documents overlap.
+    fn arbitrary_doc(rng: &mut squash_testkit::Rng) -> Telemetry {
+        let mut t = Telemetry {
+            name: rng.pick(&["", "a", "b"]).to_string(),
+            docs: counter(rng),
+            trace_drops: counter(rng),
+            sampler_drops: counter(rng),
+            ..Telemetry::default()
+        };
+        if rng.bool() {
+            let status = *rng.pick(&[0, 1, -1, i64::MAX, i64::MIN]);
+            t.run = Some(RunMetrics {
+                status,
+                instructions: counter(rng),
+                cycles: counter(rng),
+                output_bytes: counter(rng),
+            });
+        }
+        if rng.bool() {
+            t.runtime = Some(RuntimeStats {
+                decompressions: counter(rng),
+                skipped: counter(rng),
+                stub_hits: counter(rng),
+                stub_allocs: counter(rng),
+                restores: counter(rng),
+                max_live_stubs: counter(rng) as usize,
+                bits_read: counter(rng),
+                insts_written: counter(rng),
+                cycles_charged: counter(rng),
+                hits: counter(rng),
+                misses: counter(rng),
+                evictions: counter(rng),
+                regions_verified: counter(rng),
+                checksum_cycles: counter(rng),
+            });
+        }
+        if rng.bool() {
+            let mut ic = ICacheStats::default();
+            ic.hits = counter(rng);
+            ic.misses = counter(rng);
+            ic.flushes = counter(rng);
+            t.icache = Some(ic);
+        }
+        t.stages = rng.vec(0, 3, |rng| StageRecord {
+            name: rng.pick(&["plan", "encode"]).to_string(),
+            wall_ns: counter(rng),
+            items: counter(rng),
+            output_bytes: counter(rng),
+            note: rng.pick(&["", "bytes", "regions"]).to_string(),
+        });
+        t.faults = rng.vec(0, 2, |rng| FaultCount {
+            kind: rng.pick(&["region_checksum", "deadline_exceeded"]).to_string(),
+            count: counter(rng),
+        });
+        if rng.bool() {
+            t.attribution = Some(AttributionReport {
+                regions: rng.vec(0, 3, |rng| RegionRow {
+                    region: rng.below(4) as u16,
+                    decompressions: counter(rng),
+                    hits: counter(rng),
+                    evictions: counter(rng),
+                    decomp_cycles: counter(rng),
+                    hit_cycles: counter(rng),
+                    stub_cycles: counter(rng),
+                    residency_cycles: counter(rng),
+                    residency_intervals: counter(rng),
+                }),
+                sites: rng.vec(0, 2, |rng| SiteRow {
+                    site: rng.below(3) as u32 * 0x1_0004,
+                    creates: counter(rng),
+                    reuses: counter(rng),
+                    frees: counter(rng),
+                    cycles: counter(rng),
+                }),
+                interarrival: rng.vec(0, 4, counter),
+                traps: TrapCounts {
+                    create_stub: counter(rng),
+                    entry: counter(rng),
+                    restore: counter(rng),
+                },
+                attributed_cycles: counter(rng),
+                end_cycle: counter(rng),
+            });
+        }
+        t
+    }
+
+    /// Over random documents: every document round-trips its JSON, merge
+    /// ignores input order, and a merged document's JSON is a fixed point
+    /// of parse-then-emit.
+    #[test]
+    fn random_documents_round_trip_and_merge_in_any_order() {
+        let reparse = |text: &str| Telemetry::from_json(&json::parse(text).unwrap()).unwrap();
+        squash_testkit::cases(0x7E1E_3E7E, 512, |rng| {
+            let docs = rng.vec(1, 4, arbitrary_doc);
+            for d in &docs {
+                let text = d.to_json_string();
+                assert_eq!(reparse(&text), *d, "{text}");
+            }
+            let merged = Telemetry::merge(&docs);
+            let mut reordered = docs.clone();
+            reordered.reverse();
+            assert_eq!(Telemetry::merge(&reordered), merged, "reversed");
+            reordered.rotate_left(1);
+            assert_eq!(Telemetry::merge(&reordered), merged, "rotated");
+            let text = merged.to_json_string();
+            assert_eq!(reparse(&text).to_json_string(), text);
+        });
+    }
+
+    /// The parser accepts counters up to `i64::MAX`, and a merged fleet whose
+    /// sums saturated writes exactly that: the report's totals of three such
+    /// counters saturate instead of overflowing.
+    #[test]
+    fn totals_saturate_on_large_counters() {
+        let m = i64::MAX;
+        let doc = format!(
+            "{{\"schema\":2,\"name\":\"x\",\"attribution\":{{\"regions\":[{{\"region\":0,\
+             \"decompressions\":1,\"hits\":0,\"evictions\":0,\"decomp_cycles\":{m},\
+             \"hit_cycles\":{m},\"stub_cycles\":{m},\"residency_cycles\":0,\
+             \"residency_intervals\":0}}],\"traps\":{{\"create_stub\":{m},\"entry\":{m},\
+             \"restore\":{m}}},\"attributed_cycles\":0,\"end_cycle\":0}}}}"
+        );
+        let t = Telemetry::from_json(&json::parse(&doc).unwrap()).unwrap();
+        let attr = t.attribution.as_ref().unwrap();
+        assert_eq!(attr.regions[0].total_cycles(), u64::MAX);
+        assert_eq!(attr.traps.total(), u64::MAX);
+        let report = t.report();
+        assert!(report.contains("Traps: 18446744073709551615 total"), "{report}");
+        assert!(report.contains("region 0     18446744073709551615 cycles"), "{report}");
+    }
+
+    /// A forged inter-arrival histogram longer than any u64 delta can fill
+    /// mirrors with its tail under +Inf instead of panicking on a shift.
+    #[test]
+    fn registry_folds_a_forged_histogram_tail_into_inf() {
+        let attribution = AttributionReport { interarrival: vec![1; 70], ..Default::default() };
+        let t = Telemetry { attribution: Some(attribution), ..Telemetry::default() };
+        let text = t.registry().to_prometheus();
+        let bucket = |le: &str| format!("squash_trap_interarrival_cycles_bucket{{le=\"{le}\"}}");
+        assert!(text.contains(&format!("{} 64\n", bucket("9223372036854776000"))), "{text}");
+        assert!(text.contains(&format!("{} 70\n", bucket("+Inf"))), "{text}");
+        assert!(text.contains("squash_trap_interarrival_cycles_count 70\n"), "{text}");
     }
 }

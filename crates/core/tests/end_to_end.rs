@@ -307,7 +307,7 @@ fn stats_footprint_matches_emitted_segments() {
     let parts = fp.never_compressed
         + fp.entry_stubs
         + fp.static_stubs
-        + squashed.runtime.cfg_decomp_bytes()
+        + squashed.runtime.decomp_bytes
         + fp.offset_table
         + fp.stub_area
         + fp.buffer

@@ -4,8 +4,8 @@
 //! Metrics are keyed `(family name, sorted label set)` in `BTreeMap`s, so
 //! the encoder emits deterministic output — the property every downstream
 //! diff, golden test and merge depends on. The registry is a passive value:
-//! producers mirror their counters in (`squash::monitor::registry` builds
-//! one from a telemetry document), the encoder reads it out.
+//! producers mirror their counters in (`squash::telemetry::Telemetry::registry`
+//! builds one from a telemetry document), the encoder reads it out.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -52,7 +52,7 @@ pub struct ICacheStats {
 impl ICacheStats {
     /// Miss ratio over all fetches.
     pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits.saturating_add(self.misses);
         if total == 0 {
             0.0
         } else {
@@ -200,6 +200,8 @@ mod tests {
         c.fetch(0);
         assert!((c.stats().miss_ratio() - 0.25).abs() < 1e-12);
         assert_eq!(ICacheStats::default().miss_ratio(), 0.0);
+        let huge = ICacheStats { hits: u64::MAX, misses: u64::MAX, flushes: 0 };
+        assert_eq!(huge.miss_ratio(), 1.0, "saturates instead of overflowing");
     }
 
     #[test]

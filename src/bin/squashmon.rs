@@ -33,7 +33,7 @@
 use squash_repro::squash::audit::{self, DriftRow, DEFAULT_DRIFT_THRESHOLD};
 use squash_repro::obs::json;
 use squash_repro::squash::telemetry::Telemetry;
-use squash_repro::squash::{image_file, monitor};
+use squash_repro::squash::image_file;
 use std::process::ExitCode;
 
 /// Exit code for estimator drift above the threshold — distinct from usage
@@ -103,7 +103,7 @@ fn run() -> Result<ExitCode, String> {
                     report_drops(&files, &docs);
                     println!("{}", merged.to_json_string());
                 }
-                Mode::Prom => print!("{}", monitor::registry(&merged).to_prometheus()),
+                Mode::Prom => print!("{}", merged.registry().to_prometheus()),
                 _ => summary(&files, &docs, &merged),
             }
             Ok(ExitCode::SUCCESS)
@@ -164,7 +164,7 @@ fn summary(files: &[String], docs: &[Telemetry], merged: &Telemetry) {
             d.run.map_or(0, |r| r.instructions),
             d.run.map_or(0, |r| r.cycles),
             d.runtime.map_or(0, |r| r.decompressions),
-            d.faults.iter().map(|f| f.count).sum::<u64>(),
+            d.faults.iter().fold(0u64, |n, f| n.saturating_add(f.count)),
             d.trace_drops,
             d.sampler_drops,
         );
@@ -176,7 +176,7 @@ fn summary(files: &[String], docs: &[Telemetry], merged: &Telemetry) {
             merged.run.map_or(0, |r| r.instructions),
             merged.run.map_or(0, |r| r.cycles),
             merged.runtime.map_or(0, |r| r.decompressions),
-            merged.faults.iter().map(|f| f.count).sum::<u64>(),
+            merged.faults.iter().fold(0u64, |n, f| n.saturating_add(f.count)),
             merged.trace_drops,
             merged.sampler_drops,
         );

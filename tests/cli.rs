@@ -1015,3 +1015,35 @@ fn squashmon_merge_attributes_drops_per_document() {
     assert!(stdout.contains("t_drops"), "{stdout}");
     assert!(stdout.contains("s_drops"), "{stdout}");
 }
+
+/// A merged fleet whose sums saturated writes `i64::MAX` counters, and the
+/// parser accepts them: the summary's region, trap and fault totals of three
+/// such counters saturate at `u64::MAX` instead of overflowing.
+#[test]
+fn squashmon_totals_saturate_on_large_counters() {
+    let doc = temp_dir().join("saturated.json");
+    let m = i64::MAX;
+    std::fs::write(
+        &doc,
+        format!(
+            "{{\"schema\":2,\"name\":\"sat\",\"attribution\":{{\"regions\":[{{\"region\":0,\
+             \"decompressions\":1,\"hits\":0,\"evictions\":0,\"decomp_cycles\":{m},\
+             \"hit_cycles\":{m},\"stub_cycles\":{m},\"residency_cycles\":0,\
+             \"residency_intervals\":0}}],\"traps\":{{\"create_stub\":{m},\"entry\":{m},\
+             \"restore\":{m}}},\"attributed_cycles\":0,\"end_cycle\":0}},\"faults\":[\
+             {{\"kind\":\"a\",\"count\":{m}}},{{\"kind\":\"b\",\"count\":{m}}},\
+             {{\"kind\":\"c\",\"count\":{m}}}]}}\n"
+        ),
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_squashmon"))
+        .arg(&doc)
+        .output()
+        .expect("squashmon runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Traps: 18446744073709551615 total"), "{stdout}");
+    assert!(stdout.contains("region 0     18446744073709551615 cycles"), "{stdout}");
+    let row = stdout.lines().nth(1).unwrap_or_default();
+    assert!(row.ends_with(" 18446744073709551615        0        0"), "faults column: {stdout}");
+}

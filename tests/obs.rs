@@ -100,7 +100,7 @@ fn observed_run_produces_consistent_artifacts() {
     // The registry mirror: histogram bucket counts must be cumulative and
     // end at _count (the exposition invariants the obs crate pins are
     // exercised here on real data).
-    let prom = monitor::registry(&telemetry).to_prometheus();
+    let prom = telemetry.registry().to_prometheus();
     assert!(prom.contains("# TYPE squash_trap_interarrival_cycles histogram"), "{prom}");
     let buckets: Vec<u64> = prom
         .lines()
